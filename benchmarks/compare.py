@@ -256,7 +256,8 @@ def main(argv: list[str] | None = None) -> int:
         type=float,
         default=DEFAULT_TOLERANCE,
         help="relative slowdown allowed before flagging "
-        f"(default: {DEFAULT_TOLERANCE:.0%})",
+        # argparse %-formats help strings, so the percent sign is doubled.
+        f"(default: {100 * DEFAULT_TOLERANCE:.0f}%%)",
     )
     parser.add_argument(
         "--min-seconds",

@@ -296,12 +296,10 @@ def _execute_benchmark(
     try:
         result = runner(**kwargs)
         wall_seconds = time.perf_counter() - start
-        # Experiments that profile memory themselves (e.g. E15) stop the
-        # global tracer mid-run; their records then report a 0 peak and the
-        # per-mode peaks live in the experiment's own rows instead.
-        peak_mib = (
-            tracemalloc.get_traced_memory()[1] / 2**20 if tracemalloc.is_tracing() else 0.0
-        )
+        # Experiments that profile memory themselves (e.g. E15) reset the
+        # peak of this trace without stopping it, so their record's peak
+        # covers the run from the last such reset on.
+        peak_mib = tracemalloc.get_traced_memory()[1] / 2**20
     finally:
         if tracemalloc.is_tracing():
             tracemalloc.stop()

@@ -56,13 +56,22 @@ def _measure_mode(
 ) -> dict:
     """Build an evaluator in one mode and profile build/eval time and memory."""
     gc.collect()
-    tracemalloc.start()
+    # Under an enclosing trace (a benchmark runner recording the whole run)
+    # only the peak is reset, measured from the bytes already traced, and the
+    # trace is left running; stopping it would zero the runner's record.
+    started_here = not tracemalloc.is_tracing()
+    if started_here:
+        tracemalloc.start()
+    else:
+        tracemalloc.reset_peak()
+    baseline_bytes = tracemalloc.get_traced_memory()[0]
     start = time.perf_counter()
     evaluator = WorkloadEvaluator(workload, mode=mode, chunk_size=chunk_size)
     answers = evaluator.answers_on_histogram(histogram)
     build_seconds = time.perf_counter() - start
-    peak_bytes = tracemalloc.get_traced_memory()[1]
-    tracemalloc.stop()
+    peak_bytes = tracemalloc.get_traced_memory()[1] - baseline_bytes
+    if started_here:
+        tracemalloc.stop()
 
     start = time.perf_counter()
     for _ in range(eval_repeats):

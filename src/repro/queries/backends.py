@@ -517,7 +517,12 @@ class HistogramSession:
     The ops:
 
     ``answers()``
-        The workload answer vector against the current contents.
+        The workload answer vector against the current contents.  A session
+        may maintain it incrementally between full evaluations: the
+        ``vector`` NumPy-engine session updates it per delta and matches a
+        fresh evaluation to 1e-9 relative, while the backends'
+        ``answers_on_histogram`` (and the ``sparse`` session, the exact
+        reference) evaluate from scratch.
     ``scale_support(indices, factors)``
         Multiply the cells at ``indices`` by ``factors`` — the PMW support
         delta.  ``indices`` must be sorted ascending (query supports are
@@ -1004,30 +1009,39 @@ class SparseBackend(EvaluationBackend):
             f"{context.config.sparse_cell_budget}",
         )
 
+    def _concatenated_supports(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Concatenated ``(indptr, indices, values)`` of all query supports.
+
+        Re-points the per-query cache at zero-copy slices of the
+        concatenated arrays, so both representations share storage.
+        """
+        supports = [
+            self.query_support(index) for index in range(self._context.num_queries)
+        ]
+        counts = np.array([indices.size for indices, _ in supports], dtype=np.int64)
+        indices = (
+            np.concatenate([s[0] for s in supports])
+            if supports
+            else np.empty(0, dtype=np.int64)
+        )
+        values = (
+            np.concatenate([s[1] for s in supports])
+            if supports
+            else np.empty(0, dtype=np.float64)
+        )
+        indptr = np.concatenate(([0], np.cumsum(counts))).astype(np.int64)
+        for index in range(len(supports)):
+            lo, hi = int(indptr[index]), int(indptr[index + 1])
+            self._supports[index] = (indices[lo:hi], values[lo:hi])
+        return indptr, indices, values
+
     def _ensure_csr(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Concatenated ``(row ids, indices, values)`` of all query supports."""
         if self._csr is None:
-            supports = [
-                self.query_support(index) for index in range(self._context.num_queries)
-            ]
-            counts = np.array([indices.size for indices, _ in supports], dtype=np.int64)
-            row_ids = np.repeat(np.arange(len(supports), dtype=np.int64), counts)
-            indices = (
-                np.concatenate([s[0] for s in supports])
-                if supports
-                else np.empty(0, dtype=np.int64)
+            indptr, indices, values = self._concatenated_supports()
+            row_ids = np.repeat(
+                np.arange(indptr.size - 1, dtype=np.int64), np.diff(indptr)
             )
-            values = (
-                np.concatenate([s[1] for s in supports])
-                if supports
-                else np.empty(0, dtype=np.float64)
-            )
-            # Re-point the per-query cache at zero-copy slices of the
-            # concatenated arrays so both representations share storage.
-            offsets = np.concatenate(([0], np.cumsum(counts)))
-            for index in range(len(supports)):
-                lo, hi = int(offsets[index]), int(offsets[index + 1])
-                self._supports[index] = (indices[lo:hi], values[lo:hi])
             self._csr = (row_ids, indices, values)
         return self._csr
 

@@ -22,9 +22,13 @@ kernel engines share that packed layout:
     :mod:`scipy` is importable the packed CSR becomes one
     ``scipy.sparse.csr_matrix`` whose matvec is a single C loop — the
     same per-row, in-index-order accumulation as the serial sparse
-    backend's ``np.bincount``, so answers are **bitwise identical** to
-    ``mode="sparse"``; without scipy the padded buckets are evaluated by
-    ``np.einsum`` (1e-9 parity, exact same packed layout).
+    backend's ``np.bincount``, so ``answers_on_histogram`` is **bitwise
+    identical** to ``mode="sparse"``; without scipy the padded buckets are
+    evaluated by ``np.einsum`` (1e-9 parity, exact same packed layout).
+    Its PMW session (:class:`IncrementalHistogramSession`) evaluates once
+    and then maintains the answers per support delta through a
+    :class:`ColumnView` — 1e-9 relative, with ``mode="sparse"`` the exact
+    reference.
 
 Padding a ragged support list into one rectangle can explode: a counting
 query touches all ``|D|`` cells while a marginal touches ``|D|/k``, so a
@@ -40,7 +44,8 @@ exact support total (and within the sparse cell budget).
 The packed tensors depend only on the workload, so they are cached on
 the workload object (``workload.private_cache("vectorized")``) and
 shared by every evaluator over it; compiled kernels are cached in the
-same bucket keyed by engine, so the JAX and NumPy engines never collide.
+same bucket keyed by engine, so the JAX and NumPy engines never collide,
+and so is the sessions' column view.
 :func:`shard_matvec_kernels` exports the fused CSR matvec to the sharded
 backend's workers, which use it for their local row slice when an
 ``engine`` is configured (scipy only — JAX state never crosses a fork).
@@ -53,6 +58,7 @@ import time
 import numpy as np
 
 from repro.queries.backends import (
+    ArrayHistogramSession,
     BackendCost,
     EvaluatorContext,
     HistogramSeed,
@@ -262,6 +268,99 @@ class PackedWorkload:
                 built.append((rows, index_matrix, weight_matrix))
             self._buckets = built
         return self._buckets
+
+
+class ColumnView:
+    """Column-major index of a :class:`PackedWorkload`: the entries of each cell.
+
+    ``order`` lists the packed CSR entry positions grouped by domain cell
+    (a stable sort, so each cell's entries stay in query order), ``rows``
+    the query row of each listed entry, and ``indptr`` delimits the group
+    of every cell.  All three are int32 whenever the sizes fit, so the view
+    costs ``8·nnz + 4·|D|`` bytes.  Engine-independent, so one view is
+    cached per workload next to the packed tensors.
+    """
+
+    def __init__(self, packed: PackedWorkload, domain_size: int):
+        domain_size = int(domain_size)
+        fits = max(packed.total_entries, domain_size) < np.iinfo(np.int32).max
+        index_dtype = np.int32 if fits else np.int64
+        self.indptr = np.zeros(domain_size + 1, dtype=index_dtype)
+        np.cumsum(np.bincount(packed.indices, minlength=domain_size), out=self.indptr[1:])
+        self.order = np.argsort(packed.indices, kind="stable").astype(index_dtype)
+        row_of_entry = np.repeat(
+            np.arange(packed.num_queries, dtype=index_dtype), np.diff(packed.indptr)
+        )
+        self.rows = row_of_entry[self.order]
+        self.total_entries = packed.total_entries
+        self._values = packed.values
+        self._num_queries = packed.num_queries
+
+    def spans(self, cells: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``(starts, counts)`` of the column groups of ``cells``."""
+        starts = self.indptr[cells].astype(np.int64)
+        return starts, self.indptr[cells + 1] - starts
+
+    def matvec(self, starts: np.ndarray, counts: np.ndarray, deltas: np.ndarray) -> np.ndarray:
+        """``Q[:, cells] @ deltas`` for the column groups ``(starts, counts)``."""
+        total = int(counts.sum())
+        # Entry k of the gathered run belongs to group g(k) and sits at
+        # starts[g] + (k - first[g]); one repeat builds that offset per entry.
+        first = np.cumsum(counts) - counts
+        positions = np.arange(total, dtype=np.int64) + np.repeat(starts - first, counts)
+        weights = self._values[self.order[positions]] * np.repeat(deltas, counts)
+        return np.bincount(self.rows[positions], weights=weights, minlength=self._num_queries)
+
+
+class IncrementalHistogramSession(ArrayHistogramSession):
+    """An array session that keeps the answer vector current across deltas.
+
+    The histogram ops are exactly those of :class:`ArrayHistogramSession`,
+    so the histogram itself is bitwise the one the ``sparse`` backend
+    walks.  Answers are computed once through the fused kernel, then
+    maintained: a support delta adds ``Q[:, cells] @ (h_new - h_old)[cells]``
+    read through the :class:`ColumnView`, and a uniform rescale multiplies
+    the cached vector.  A PMW round therefore costs the selected support's
+    column entries instead of a full ``Σnnz`` matvec.  The maintained
+    answers agree with a fresh evaluation to 1e-9 relative, not bitwise
+    (the delta sums reassociate); ``mode="sparse"`` stays the exact
+    reference.  :meth:`fill`, and a delta whose column entries exceed half
+    of ``Σnnz`` (a counting query, say) — where the gather costs more than
+    a full matvec — drop the cache, and the next :meth:`answers` recomputes.
+    """
+
+    def __init__(self, backend: "VectorizedBackend", array: np.ndarray, columns: ColumnView):
+        super().__init__(backend, array)
+        self._columns = columns
+        self._answers: np.ndarray | None = None
+
+    def answers(self) -> np.ndarray:
+        if self._answers is None:
+            self._answers = super().answers()
+        return self._answers.copy()
+
+    def scale_support(self, indices: np.ndarray, factors: np.ndarray) -> None:
+        if self._answers is not None:
+            starts, counts = self._columns.spans(indices)
+            if 2 * int(counts.sum()) <= self._columns.total_entries:
+                old = self._array[indices]
+                new = old * factors
+                self._array[indices] = new
+                self._answers = self._answers + self._columns.matvec(
+                    starts, counts, new - old
+                )
+                return
+            self._answers = None
+        super().scale_support(indices, factors)
+
+    def scale(self, factor: float) -> None:
+        super().scale(factor)
+        if self._answers is not None:
+            self._answers = self._answers * factor
+
+    def fill(self, value: float) -> None:
+        super().fill(value)
+        self._answers = None
 
 
 class NumpyKernel:
@@ -497,6 +596,12 @@ class VectorizedBackend(SparseBackend):
     amortise packing and rectangular enough to pad cheaply; the engine
     comes from ``EvaluatorConfig.engine`` (``None`` = JAX when importable,
     NumPy otherwise).
+
+    With the NumPy engine, :meth:`answers_on_histogram` stays bitwise equal
+    to ``sparse``, while sessions answer incrementally at 1e-9 relative
+    (``sparse`` is the exact reference).  The sessions' :class:`ColumnView`
+    costs ``8·nnz + 4·|D|`` bytes per workload; in exchange this backend
+    never builds ``sparse``'s int64 per-entry row ids (``8·nnz`` bytes).
     """
 
     name = "vector"
@@ -512,6 +617,7 @@ class VectorizedBackend(SparseBackend):
         self._engine = resolve_engine(context.config.engine)
         self._packed: PackedWorkload | None = None
         self._kernel: NumpyKernel | JaxKernel | None = None
+        self._columns: ColumnView | None = None
 
     @property
     def engine(self) -> str:
@@ -576,29 +682,17 @@ class VectorizedBackend(SparseBackend):
         return cls.estimate_cost(context).eligible
 
     # -- packed representation --------------------------------------------
-    def _ensure_csr(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        if self._csr is None:
-            cached: PackedWorkload | None = (
-                self._context.workload.private_cache(_CACHE_NAME).get("packed")
-            )
-            if cached is not None and cached.num_queries == self._context.num_queries:
-                # Serve supports and the CSR triplet zero-copy from the
-                # cached packed tensors instead of rebuilding them.
-                counts = np.diff(cached.indptr)
-                row_ids = np.repeat(
-                    np.arange(cached.num_queries, dtype=np.int64), counts
-                )
-                for index in range(cached.num_queries):
-                    self._supports[index] = cached.query_slice(index)
-                    self._context.note_support_size(index, int(counts[index]))
-                self._cached_support_entries = cached.total_entries
-                self._csr = (row_ids, cached.indices, cached.values)
-                self._packed = cached
-            else:
-                super()._ensure_csr()
-        return self._csr
+    def _point_supports_at(self, packed: PackedWorkload) -> None:
+        """Serve supports zero-copy from the cached packed tensors."""
+        counts = np.diff(packed.indptr)
+        for index in range(packed.num_queries):
+            self._supports[index] = packed.query_slice(index)
+            self._context.note_support_size(index, int(counts[index]))
+        self._cached_support_entries = packed.total_entries
 
     def _ensure_packed(self) -> PackedWorkload:
+        # The packed CSR replaces the sparse backend's (row ids, indices,
+        # values) triplet: no per-entry row-id array is ever built here.
         if self._packed is None:
             recording = self._context.telemetry_enabled()
             cache = self._context.workload.private_cache(_CACHE_NAME)
@@ -614,20 +708,14 @@ class VectorizedBackend(SparseBackend):
                     else _NULL_SPAN
                 )
                 with span_ctx:
-                    _row_ids, indices, values = self._ensure_csr()
-                    counts = np.array(
-                        [self._supports[index][0].size for index in range(self._context.num_queries)],
-                        dtype=np.int64,
-                    )
-                    indptr = np.concatenate(([0], np.cumsum(counts))).astype(np.int64)
-                    packed = PackedWorkload(indptr, indices, values)
+                    packed = PackedWorkload(*self._concatenated_supports())
                 cache["packed"] = packed
             else:
                 if recording:
                     _telemetry_registry().counter(
                         "workload.cache", bucket=_CACHE_NAME, event="hit"
                     ).add()
-                self._ensure_csr()  # re-point supports at the cached tensors
+                self._point_supports_at(packed)
             self._packed = packed
             if recording:
                 registry = _telemetry_registry()
@@ -637,33 +725,45 @@ class VectorizedBackend(SparseBackend):
                 registry.gauge("vector.waste_ratio").set(packed.waste_ratio)
         return self._packed
 
+    def _cached(self, key, span_name: str, build, **attributes):
+        """``build()`` once per workload, cached under ``key`` next to the packing."""
+        recording = self._context.telemetry_enabled()
+        cache = self._context.workload.private_cache(_CACHE_NAME)
+        value = cache.get(key)
+        if recording:
+            _telemetry_registry().counter(
+                "workload.cache",
+                bucket=_CACHE_NAME,
+                event="miss" if value is None else "hit",
+            ).add()
+        if value is None:
+            with _trace(span_name, **attributes) if recording else _NULL_SPAN:
+                value = build()
+            cache[key] = value
+        return value
+
     def _ensure_kernel(self) -> NumpyKernel | JaxKernel:
         if self._kernel is None:
             packed = self._ensure_packed()
-            recording = self._context.telemetry_enabled()
-            cache = self._context.workload.private_cache(_CACHE_NAME)
-            key = ("kernel", self._engine)
-            kernel = cache.get(key)
-            if kernel is None:
-                if recording:
-                    _telemetry_registry().counter(
-                        "workload.cache", bucket=_CACHE_NAME, event="miss"
-                    ).add()
-                span_ctx = (
-                    _trace("vector.kernel_build", engine=self._engine)
-                    if recording
-                    else _NULL_SPAN
-                )
-                with span_ctx:
-                    kernel_cls = JaxKernel if self._engine == "jax" else NumpyKernel
-                    kernel = kernel_cls(packed, self._context.domain_size)
-                cache[key] = kernel
-            elif recording:
-                _telemetry_registry().counter(
-                    "workload.cache", bucket=_CACHE_NAME, event="hit"
-                ).add()
-            self._kernel = kernel
+            kernel_cls = JaxKernel if self._engine == "jax" else NumpyKernel
+            self._kernel = self._cached(
+                ("kernel", self._engine),
+                "vector.kernel_build",
+                lambda: kernel_cls(packed, self._context.domain_size),
+                engine=self._engine,
+            )
         return self._kernel
+
+    def _ensure_columns(self) -> ColumnView:
+        if self._columns is None:
+            packed = self._ensure_packed()
+            self._columns = self._cached(
+                "columns",
+                "vector.columns_build",
+                lambda: ColumnView(packed, self._context.domain_size),
+                entries=packed.total_entries,
+            )
+        return self._columns
 
     def packed_workload(self) -> PackedWorkload:
         """The compiled packed tensors (building them on first use)."""
@@ -675,9 +775,11 @@ class VectorizedBackend(SparseBackend):
 
     def session(self, initial: np.ndarray) -> HistogramSession:
         if self._engine != "jax":
-            # The NumPy engine keeps the histogram host-side; the inherited
-            # array session already routes answers through the fused kernel.
-            return super().session(initial)
+            # The NumPy engine keeps the histogram host-side and maintains
+            # its answers incrementally between full kernel evaluations.
+            return IncrementalHistogramSession(
+                self, np.array(initial, dtype=np.float64), self._ensure_columns()
+            )
         return self.seeded_session(
             HistogramSeed.from_array(self._context.validated_flat(initial))
         )

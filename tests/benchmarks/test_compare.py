@@ -12,6 +12,7 @@ from __future__ import annotations
 import copy
 import importlib.util
 import json
+import subprocess
 import sys
 from pathlib import Path
 
@@ -122,6 +123,17 @@ class TestCli:
         for name, record in records.items():
             path = directory / f"BENCH_{name.removeprefix('bench_')}.json"
             path.write_text(json.dumps(record, indent=2) + "\n")
+
+    def test_help_exits_zero(self):
+        completed = subprocess.run(
+            [sys.executable, str(_BENCH_DIR / "compare.py"), "--help"],
+            capture_output=True,
+            text=True,
+            check=False,
+        )
+        assert completed.returncode == 0, completed.stderr
+        help_text = " ".join(completed.stdout.split())  # undo argparse line wrapping
+        assert f"(default: {100 * compare.DEFAULT_TOLERANCE:.0f}%)" in help_text
 
     def test_clean_run_exits_zero_and_writes_reports(self, tmp_path, baseline, capsys):
         self._write(tmp_path / "base", baseline)

@@ -10,6 +10,7 @@ cell budgets.
 import numpy as np
 import pytest
 
+import repro.queries.backends as backends
 from repro.queries.evaluation import (
     SparseWorkloadEvaluator,
     WorkloadEvaluator,
@@ -117,6 +118,17 @@ class TestModeParity:
             assert evaluator.support_size(index) == expected
 
 
+@pytest.fixture(params=[1, 2], ids=["1-core", "2-cores"])
+def fallback_mode(request, monkeypatch):
+    """The budget-exhausted auto choice on a host with ``request.param`` cores.
+
+    With a second core to decode on, the prefetching scan outranks the
+    serial streaming scan; on one core streaming is the last resort.
+    """
+    monkeypatch.setattr(backends, "effective_cpu_count", lambda: request.param)
+    return "prefetch" if request.param >= 2 else "streaming"
+
+
 class TestModeSelection:
     def test_auto_picks_dense_under_budget(self, workload):
         assert WorkloadEvaluator(workload).mode == "dense"
@@ -126,9 +138,9 @@ class TestModeSelection:
         assert evaluator.mode == "sparse"
         assert not evaluator.has_matrix
 
-    def test_auto_falls_back_to_streaming(self, workload):
+    def test_auto_falls_back_to_streaming(self, workload, fallback_mode):
         evaluator = WorkloadEvaluator(workload, cell_budget=10, sparse_cell_budget=10)
-        assert evaluator.mode == "streaming"
+        assert evaluator.mode == fallback_mode
 
     def test_materialize_flags_keep_legacy_meaning(self, workload):
         assert WorkloadEvaluator(workload, materialize=True).mode == "dense"
@@ -136,16 +148,16 @@ class TestModeSelection:
         assert forbidden.mode in ("sparse", "streaming")
         assert not forbidden.has_matrix
 
-    def test_sparse_evaluator_never_dense(self, workload):
+    def test_sparse_evaluator_never_dense(self, workload, fallback_mode):
         assert SparseWorkloadEvaluator(workload).mode == "sparse"
-        assert SparseWorkloadEvaluator(workload, sparse_cell_budget=10).mode == "streaming"
+        assert SparseWorkloadEvaluator(workload, sparse_cell_budget=10).mode == fallback_mode
 
-    def test_auto_evaluator_mode_matches_constructor_choice(self, workload):
+    def test_auto_evaluator_mode_matches_constructor_choice(self, workload, fallback_mode):
         assert auto_evaluator_mode(workload) == WorkloadEvaluator(workload).mode
         assert auto_evaluator_mode(workload, cell_budget=10) == "sparse"
         assert (
             auto_evaluator_mode(workload, cell_budget=10, sparse_cell_budget=10)
-            == "streaming"
+            == fallback_mode
         )
 
     def test_invalid_mode_rejected(self, workload):
