@@ -297,9 +297,11 @@ def _execute_benchmark(
         result = runner(**kwargs)
         wall_seconds = time.perf_counter() - start
         # Experiments that profile memory themselves (e.g. E15) reset the
-        # peak of this trace without stopping it, so their record's peak
-        # covers the run from the last such reset on.
+        # peak of this trace without stopping it, and report the peak the
+        # trace had reached across their resets as ``traced_peak_mib``.
         peak_mib = tracemalloc.get_traced_memory()[1] / 2**20
+        if isinstance(result, dict):
+            peak_mib = max(peak_mib, result.get("traced_peak_mib", 0.0))
     finally:
         if tracemalloc.is_tracing():
             tracemalloc.stop()

@@ -17,6 +17,7 @@ import numpy as np
 from repro.core.pmw import PMWConfig, private_multiplicative_weights
 from repro.core.result import ReleaseResult
 from repro.core.synthetic import SyntheticDataset
+from repro.mechanisms.ledger import ambient_ledger
 from repro.mechanisms.rng import resolve_rng
 from repro.mechanisms.spec import PrivacySpec
 from repro.mechanisms.truncated_laplace import sample_truncated_laplace, truncation_radius
@@ -72,6 +73,12 @@ def multi_table_release(
     radius = truncation_radius(epsilon / 2.0, delta / 2.0, beta)
     log_noise = sample_truncated_laplace(2.0 * beta / epsilon, radius, rng=generator)
     delta_tilde = rs_value * exp(float(log_noise))
+    # Accounting: the RS^β draw spends (ε/2, δ/2) of the declared budget.
+    ledger = ambient_ledger()
+    if ledger is not None:
+        ledger.charge(
+            "multi_table.residual_sensitivity", PrivacySpec(epsilon / 2.0, delta / 2.0)
+        )
 
     # Line 3: PMW with the remaining half of the budget.
     pmw = private_multiplicative_weights(

@@ -14,6 +14,7 @@ import numpy as np
 from repro.core.pmw import PMWConfig, private_multiplicative_weights
 from repro.core.result import ReleaseResult
 from repro.core.synthetic import SyntheticDataset
+from repro.mechanisms.ledger import ambient_ledger
 from repro.mechanisms.rng import resolve_rng
 from repro.mechanisms.spec import PrivacySpec
 from repro.mechanisms.truncated_laplace import truncated_laplace_mechanism
@@ -61,6 +62,10 @@ def two_table_release(
         float(delta_true), 1.0, epsilon / 2.0, delta / 2.0, rng=generator
     )
     delta_tilde = max(delta_tilde, 1.0)
+    # Accounting: the Δ̃ draw spends (ε/2, δ/2) of the declared budget.
+    ledger = ambient_ledger()
+    if ledger is not None:
+        ledger.charge("two_table.sensitivity", PrivacySpec(epsilon / 2.0, delta / 2.0))
 
     # Line 2: PMW with the remaining half of the budget.
     pmw = private_multiplicative_weights(

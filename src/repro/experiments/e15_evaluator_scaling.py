@@ -59,17 +59,22 @@ def _measure_mode(
     # Under an enclosing trace (a benchmark runner recording the whole run)
     # only the peak is reset, measured from the bytes already traced, and the
     # trace is left running; stopping it would zero the runner's record.
+    # The enclosing trace's peak so far is kept before the reset, so the
+    # run's overall peak (``traced_peak_mib``) survives it.
     started_here = not tracemalloc.is_tracing()
     if started_here:
         tracemalloc.start()
+        earlier_peak = 0
     else:
+        earlier_peak = tracemalloc.get_traced_memory()[1]
         tracemalloc.reset_peak()
     baseline_bytes = tracemalloc.get_traced_memory()[0]
     start = time.perf_counter()
     evaluator = WorkloadEvaluator(workload, mode=mode, chunk_size=chunk_size)
     answers = evaluator.answers_on_histogram(histogram)
     build_seconds = time.perf_counter() - start
-    peak_bytes = tracemalloc.get_traced_memory()[1] - baseline_bytes
+    traced_peak = tracemalloc.get_traced_memory()[1]
+    peak_bytes = traced_peak - baseline_bytes
     if started_here:
         tracemalloc.stop()
 
@@ -82,6 +87,7 @@ def _measure_mode(
         "build_seconds": build_seconds,
         "eval_seconds": eval_seconds,
         "peak_mib": peak_bytes / 2**20,
+        "traced_peak_mib": max(earlier_peak, traced_peak) / 2**20,
         "answers": answers,
     }
     del evaluator
@@ -154,6 +160,7 @@ def run(
         "cell_budget": _MATRIX_CELL_BUDGET,
         "auto_mode": auto_mode,
         "answer_scale": scale,
+        "traced_peak_mib": max(row["traced_peak_mib"] for row in rows),
         "memory_ratio_sparse": peak_by_mode["dense"] / max(peak_by_mode["sparse"], 1e-9),
         "memory_ratio_streaming": peak_by_mode["dense"]
         / max(peak_by_mode["streaming"], 1e-9),

@@ -24,10 +24,11 @@ moment the composed total exceeds it.
 
 An **ambient ledger** can be installed per context
 (:func:`use_ledger` / :func:`set_ambient_ledger`): mechanisms that know
-their own budget — today the PMW routine's total-count and adaptive-rounds
-charges — record into it without every call chain having to thread a ledger
-argument through.  No ambient ledger is installed by default, so existing
-call sites pay one context-variable read and nothing else.
+their own budget — the PMW routine's total-count and adaptive-rounds
+charges, and the sensitivity draws of Algorithms 1 and 3 — record into it
+without every call chain having to thread a ledger argument through.  No
+ambient ledger is installed by default, so existing call sites pay one
+context-variable read and nothing else.
 """
 
 from __future__ import annotations

@@ -293,7 +293,7 @@ class EvaluatorContext:
         cached = self._support_sizes.get(index)
         if cached is not None:
             return cached
-        from repro.relational.join import _letters_for
+        from repro.relational.join import _letters_for, contract
 
         letters = _letters_for(self.join_query)
         operands = []
@@ -304,7 +304,7 @@ class EvaluatorContext:
             operands.append((table_query.weights != 0.0).astype(np.int64))
             terms.append("".join(letters[name] for name in schema.attribute_names))
         subscript = ",".join(terms) + "->"
-        size = int(np.einsum(subscript, *operands))
+        size = int(contract(subscript, *operands))
         self._support_sizes[index] = size
         return size
 

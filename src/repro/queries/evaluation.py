@@ -381,8 +381,9 @@ class WorkloadEvaluator:
     def answers_on_instance(self, instance: Instance) -> np.ndarray:
         """Exact answers ``q(I)`` for every workload query.
 
-        Evaluated by einsum over the per-relation arrays — identical across
-        all evaluator backends.
+        Each is a :func:`~repro.relational.join.contract` of the per-relation
+        arrays (:meth:`ProductQuery.evaluate`) — identical across all
+        evaluator backends.
         """
         return np.array([query.evaluate(instance) for query in self._workload], dtype=float)
 

@@ -6,9 +6,10 @@ is the paper's linear query ``q = (q_1, ..., q_m)`` with answer
 
     q(I) = Σ_{t = (t_1, ..., t_m)} ρ(t) · Π_i q_i(t_i) · R_i(t_i).
 
-Evaluation against instances uses einsum over the per-relation arrays (never
-materialising the join); evaluation against a released synthetic dataset uses
-the broadcast product of the weight arrays over the joint domain.
+Evaluation against instances contracts the per-relation arrays along a cached
+einsum path (:func:`repro.relational.join.contract`), which never allocates
+the join; evaluation against a released synthetic dataset uses the broadcast
+product of the weight arrays over the joint domain.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import numpy as np
 
 from repro.relational.hypergraph import JoinQuery
 from repro.relational.instance import Instance
-from repro.relational.join import _letters_for, expand_to_joint
+from repro.relational.join import _letters_for, contract, expand_to_joint
 from repro.relational.schema import RelationSchema
 
 
@@ -142,7 +143,7 @@ class ProductQuery:
     # evaluation
     # ------------------------------------------------------------------ #
     def evaluate(self, instance: Instance) -> float:
-        """Exact answer ``q(I)`` computed by einsum over weighted relations."""
+        """Exact answer ``q(I)``: a contraction of the weighted relations."""
         if instance.query is not self._join_query:
             self._check_compatible(instance.query)
         letters = _letters_for(self._join_query)
@@ -152,7 +153,7 @@ class ProductQuery:
             operands.append(relation.frequencies * query.weights)
             terms.append("".join(letters[name] for name in relation.attribute_names))
         subscript = ",".join(terms) + "->"
-        return float(np.einsum(subscript, *operands))
+        return float(contract(subscript, *operands))
 
     def joint_values(self) -> np.ndarray:
         """The query value ``Π_i q_i(π_{x_i} t)`` for every joint tuple ``t ∈ D``.

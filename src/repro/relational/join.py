@@ -4,11 +4,16 @@ All of the operations here are exact and vectorised: the join result of the
 paper is a frequency function ``Join_I : D -> Z>=0`` over the joint domain
 ``D = dom(x)``, which maps directly onto a dense numpy array with one axis per
 query attribute.  Aggregates such as the join size or grouped join sizes are
-computed with ``numpy.einsum`` without materialising the joint array.
+einsum contractions of the per-relation arrays (:func:`contract`), which never
+allocate the joint array.  An unoptimised multi-operand einsum still *walks*
+the joint index space, one cell at a time; :func:`contract` follows numpy's
+greedy pairwise contraction path instead, so relations are summed down to
+their shared attributes before they meet.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -27,6 +32,30 @@ def _letters_for(query: JoinQuery) -> dict[str, str]:
             f"queries with more than {len(_EINSUM_LETTERS)} attributes are not supported"
         )
     return {name: _EINSUM_LETTERS[axis] for axis, name in enumerate(names)}
+
+
+def contract(subscript: str, *operands: np.ndarray) -> np.ndarray:
+    """``np.einsum(subscript, *operands)`` along numpy's greedy contraction path.
+
+    The path depends only on the subscript and the operand shapes, so it is
+    computed once per such key and kept in a bounded LRU cache; values are
+    never cached.  A single operand has nothing to order, and the plain einsum is
+    faster than the path machinery there.  Integer-valued operands give
+    bitwise the plain einsum's result (every partial sum is exact); other
+    float operands agree to rounding.
+    """
+    if len(operands) == 1:
+        return np.einsum(subscript, operands[0])
+    path = _greedy_path(subscript, tuple(operand.shape for operand in operands))
+    return np.einsum(subscript, *operands, optimize=path)
+
+
+@lru_cache(maxsize=256)
+def _greedy_path(subscript: str, shapes: tuple[tuple[int, ...], ...]) -> tuple:
+    # einsum_path reads only shapes: zero-stride stand-ins allocate nothing.
+    # A tuple, so no caller can alter the path the cache hands out.
+    stand_ins = [np.broadcast_to(np.empty(()), shape) for shape in shapes]
+    return tuple(np.einsum_path(subscript, *stand_ins, optimize="greedy")[0])
 
 
 def joint_domain_size(query: JoinQuery) -> int:
@@ -96,11 +125,11 @@ def grouped_join_size(
     input_terms = []
     for index in subset:
         relation = instance.relations[index]
-        operands.append(relation.frequencies.astype(np.int64))
+        operands.append(np.asarray(relation.frequencies, dtype=np.int64))
         input_terms.append("".join(letters[name] for name in relation.attribute_names))
     output_term = "".join(letters[name] for name in group_by)
     subscript = ",".join(input_terms) + "->" + output_term
-    result = np.einsum(subscript, *operands)
+    result = contract(subscript, *operands)
     if not group_by:
         return int(result)
     return result

@@ -16,7 +16,23 @@ Computation strategy
 The query size ``m`` is a constant (data complexity), so the subsets are
 enumerated exactly, and the maximisation over ``k`` and over the integer
 vectors ``s`` is carried out jointly by enumerating every non-negative integer
-vector with coordinate sum at most a cutoff ``K`` (vectorised with numpy).
+vector of length ``m − 1`` with coordinate sum at most a cutoff ``K``.
+
+The enumeration depends only on ``(m − 1, K)``, never on the instance, so it
+is built once, sorted by coordinate sum, and kept in a small LRU cache (four
+tables of at most 16 MiB each; the ``m = 5``, ``K = 47`` table has 249,900
+rows × 4 coordinates, 7.6 MiB of float64).  The row budget is checked from
+``C(K + m − 1, m − 1)`` before anything is allocated.  One kernel then
+serves every excluded relation ``i`` at once.  It walks the sorted rows in
+blocks of ``_BLOCK_ROWS``; it builds the monomial ``Π_{j∈E} s_j`` of each
+coordinate subset ``E`` from the monomial of ``E`` minus its last coordinate
+(one multiply per subset, exact: no monomial exceeds the row budget); and it
+adds each subset's term to an ``m × block`` objective in the order of the
+original sum, so every value is bitwise the one a row-by-row evaluation
+gives.  Because the rows are sorted by sum, the per-``k`` maxima ``LŜ^k`` of
+a block are one segmented ``np.maximum.reduceat``.  The transient arrays are
+the block's ``2^{m−1}`` monomials plus the objective and one term, about
+1.7 MiB at ``m = 5``, whatever ``K`` is.
 
 The cutoff is exact, not heuristic: removing one unit from the largest
 coordinate of an optimal ``s ∈ S_{k+1}`` shrinks every product term by at most
@@ -31,8 +47,9 @@ which is strictly decreasing once ``k + 1 > (m−1)/(1 − e^{-β})``.  Taking
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
-from math import ceil, exp, expm1
+from functools import lru_cache
+from itertools import chain, combinations
+from math import ceil, comb, exp, expm1
 
 import numpy as np
 
@@ -41,6 +58,12 @@ from repro.sensitivity.boundary import all_boundary_queries
 
 #: Safety valve on the size of the enumerated vector table.
 _MAX_ENUMERATION_ROWS = 30_000_000
+
+#: Simplex rows evaluated per block; bounds the kernel's transient arrays.
+_BLOCK_ROWS = 1 << 13
+
+#: Largest simplex (rows × coordinates) kept in the cache: 16 MiB of float64.
+_CACHED_VALUES = 1 << 21
 
 
 def certified_cutoff(num_relations: int, beta: float) -> int:
@@ -51,27 +74,115 @@ def certified_cutoff(num_relations: int, beta: float) -> int:
     return int(ceil((num_relations - 1) / decay)) + 2
 
 
-def _simplex_points(num_parts: int, total_cap: int) -> np.ndarray:
-    """All non-negative integer vectors of length ``num_parts`` with sum ≤ ``total_cap``."""
-    if num_parts == 0:
-        return np.zeros((1, 0), dtype=np.int64)
-    points = np.arange(total_cap + 1, dtype=np.int64).reshape(-1, 1)
-    for _ in range(num_parts - 1):
+def _sorted_simplex(num_parts: int, total_cap: int) -> tuple[np.ndarray, np.ndarray]:
+    """Every vector of ``num_parts`` non-negative integers with sum ≤ ``total_cap``.
+
+    Returns ``(columns, starts)``: ``columns[j]`` is coordinate ``j`` of every
+    vector (as float64, exact), with the vectors ordered by coordinate sum,
+    and the vectors summing to ``k`` are rows ``starts[k]:starts[k + 1]``.
+    Tables of at most ``_CACHED_VALUES`` entries come from a small LRU cache
+    keyed by ``(num_parts, total_cap)``; larger ones are built per call.
+    """
+    rows = comb(total_cap + num_parts, num_parts)
+    if rows > _MAX_ENUMERATION_ROWS:
+        raise MemoryError(
+            "residual-sensitivity enumeration exceeded the row budget; "
+            "use a larger beta or pass an explicit k_max"
+        )
+    if rows * num_parts > _CACHED_VALUES:
+        return _build_sorted_simplex(num_parts, total_cap)
+    return _cached_sorted_simplex(num_parts, total_cap)
+
+
+def _build_sorted_simplex(num_parts: int, total_cap: int) -> tuple[np.ndarray, np.ndarray]:
+    # Extend by one coordinate at a time, keeping the sums within the cap,
+    # then order the rows by their sum.
+    points = np.zeros((1, 0), dtype=np.int64)
+    for _ in range(num_parts):
         sums = points.sum(axis=1)
         blocks = []
         for value in range(total_cap + 1):
             keep = points[sums + value <= total_cap]
-            if keep.size == 0:
-                continue
             column = np.full((keep.shape[0], 1), value, dtype=np.int64)
             blocks.append(np.hstack([keep, column]))
         points = np.vstack(blocks)
-        if points.shape[0] > _MAX_ENUMERATION_ROWS:
-            raise MemoryError(
-                "residual-sensitivity enumeration exceeded the row budget; "
-                "use a larger beta or pass an explicit k_max"
-            )
-    return points
+    sums = points.sum(axis=1)
+    order = np.argsort(sums, kind="stable")
+    columns = np.ascontiguousarray(points[order].T, dtype=float)
+    starts = np.concatenate(([0], np.cumsum(np.bincount(sums, minlength=total_cap + 1))))
+    # Read-only: the cache shares these arrays between calls.
+    columns.flags.writeable = False
+    starts.flags.writeable = False
+    return columns, starts
+
+
+_cached_sorted_simplex = lru_cache(maxsize=4)(_build_sorted_simplex)
+
+
+def _coordinate_subsets(num_parts: int) -> list[tuple[int, ...]]:
+    """Coordinate subsets by size, then lexicographically (the sum's order)."""
+    return list(
+        chain.from_iterable(combinations(range(num_parts), size) for size in range(num_parts + 1))
+    )
+
+
+def _residual_kernel(
+    coefficients: np.ndarray, beta: float, total_cap: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Maximise ``e^{-β·Σs} Σ_E c_E·Π_{j∈E} s_j`` for several coefficient rows.
+
+    ``coefficients[r, e]`` is row ``r``'s coefficient of the ``e``-th subset of
+    :func:`_coordinate_subsets`.  Returns each row's best value and the
+    ``(total_cap + 1, rows)`` array of per-``k`` maxima of the inner sum
+    (``-inf`` where no vector sums to ``k``).
+    """
+    num_rows, num_subsets = coefficients.shape
+    num_parts = num_subsets.bit_length() - 1
+    subsets = _coordinate_subsets(num_parts)
+    columns, starts = _sorted_simplex(num_parts, total_cap)
+    num_points = int(starts[-1])
+    per_k = np.full((total_cap + 1, num_rows), -np.inf)
+    for lo in range(0, num_points, _BLOCK_ROWS):
+        hi = min(lo + _BLOCK_ROWS, num_points)
+        objective = np.zeros((num_rows, hi - lo))
+        # Subsets come by size, so each one's parent (itself minus its last
+        # coordinate) is already there; zero terms are skipped, as x + 0 = x.
+        monomials: dict[tuple[int, ...], np.ndarray | float] = {(): 1.0}
+        for subset, column in zip(subsets, coefficients.T):
+            if subset:
+                monomials[subset] = monomials[subset[:-1]] * columns[subset[-1], lo:hi]
+            if column.any():
+                objective += column[:, None] * monomials[subset]
+        # Rows are sorted by sum: the block holds sums k_lo..k_hi, each a
+        # contiguous run starting at starts[k] (clipped to the block).
+        k_lo = int(np.searchsorted(starts, lo, side="right")) - 1
+        k_hi = int(np.searchsorted(starts, hi - 1, side="right")) - 1
+        segments = np.maximum(starts[k_lo : k_hi + 1], lo) - lo
+        block_max = np.maximum.reduceat(objective, segments, axis=1)
+        np.maximum(per_k[k_lo : k_hi + 1], block_max.T, out=per_k[k_lo : k_hi + 1])
+    # Rounding is monotone, so e^{-βk}·LŜ^k is bitwise the largest
+    # e^{-βk}·objective over the rows summing to k.
+    present = starts[1:] > starts[:-1]
+    weights = np.exp(-beta * np.arange(total_cap + 1))
+    best = (weights[present, None] * per_k[present]).max(axis=0)
+    return best, per_k
+
+
+def _coefficient_row(
+    coefficients_by_subset: dict[frozenset[int], float],
+    relation_indices: tuple[int, ...],
+    excluded_index: int,
+) -> list[float]:
+    """Kernel coefficients for excluded relation ``i``: ``T_{O∖E}`` per subset ``E`` of ``O``."""
+    others = [index for index in relation_indices if index != excluded_index]
+    return [
+        float(coefficients_by_subset[frozenset(others) - {others[p] for p in positions}])
+        for positions in _coordinate_subsets(len(others))
+    ]
+
+
+def _per_k_dict(per_k: np.ndarray) -> dict[int, float]:
+    return {k: float(value) for k, value in enumerate(per_k) if value != -np.inf}
 
 
 def maximize_residual_objective(
@@ -80,41 +191,15 @@ def maximize_residual_objective(
     excluded_index: int,
     beta: float,
     total_cap: int,
-    *,
-    points: np.ndarray | None = None,
 ) -> tuple[float, dict[int, float]]:
     """Maximise ``e^{-β·Σs} Σ_E T_{O∖E}·Π_{j∈E}s_j`` over vectors with sum ≤ cap.
 
     ``O`` is ``relation_indices`` minus ``excluded_index``.  Returns the best
     value and the per-``k`` maxima of the inner sum (used by the profile).
-    ``points`` lets callers reuse one simplex enumeration across several
-    excluded indices (all have the same dimension ``m − 1``).
     """
-    others = [index for index in relation_indices if index != excluded_index]
-    if points is None:
-        points = _simplex_points(len(others), total_cap)
-    sums = points.sum(axis=1)
-    objective = np.zeros(points.shape[0], dtype=float)
-    for subset_size in range(len(others) + 1):
-        for chosen_positions in combinations(range(len(others)), subset_size):
-            chosen = [others[position] for position in chosen_positions]
-            remaining = frozenset(set(others) - set(chosen))
-            coefficient = float(coefficients_by_subset[remaining])
-            if coefficient == 0.0:
-                continue
-            if chosen_positions:
-                term = coefficient * points[:, list(chosen_positions)].prod(axis=1)
-            else:
-                term = np.full(points.shape[0], coefficient)
-            objective += term
-    weighted = np.exp(-beta * sums) * objective
-    best = float(weighted.max()) if weighted.size else 0.0
-    per_k: dict[int, float] = {}
-    for k in range(total_cap + 1):
-        mask = sums == k
-        if mask.any():
-            per_k[k] = float(objective[mask].max())
-    return best, per_k
+    row = _coefficient_row(coefficients_by_subset, relation_indices, excluded_index)
+    best, per_k = _residual_kernel(np.array([row]), beta, total_cap)
+    return float(best[0]), _per_k_dict(per_k[:, 0])
 
 
 @dataclass(frozen=True)
@@ -145,16 +230,12 @@ def residual_sensitivity_profile(
     certified = k_max is None
     cutoff = k_max if k_max is not None else certified_cutoff(m, beta)
 
-    best_value = 0.0
-    ls_hat_by_k: dict[int, float] = {}
-    shared_points = _simplex_points(m - 1, cutoff)
-    for i in relation_indices:
-        value, per_k = maximize_residual_objective(
-            coefficients, relation_indices, i, beta, cutoff, points=shared_points
-        )
-        best_value = max(best_value, value)
-        for k, inner in per_k.items():
-            ls_hat_by_k[k] = max(ls_hat_by_k.get(k, 0.0), inner)
+    rows = np.array(
+        [_coefficient_row(coefficients, relation_indices, i) for i in relation_indices]
+    )
+    best, per_k = _residual_kernel(rows, beta, cutoff)
+    best_value = max(0.0, float(best.max()))
+    ls_hat_by_k = _per_k_dict(per_k.max(axis=1))
 
     maximizing_k = 0
     best_weighted = -1.0

@@ -2,9 +2,10 @@
 
 ``remaining()`` / ``assert_within()`` turn the odometer into a budget gate,
 and the ambient :func:`use_ledger` context is how release algorithms (the
-PMW routine today) charge their realised budget split without any signature
-changes.  Charging must never touch the RNG stream — PMW outputs are
-asserted bitwise-identical with and without a ledger installed.
+PMW routine and the sensitivity draws of Algorithms 1 and 3) charge their
+realised budget split without any signature changes.  Charging must never
+touch the RNG stream — PMW outputs are asserted bitwise-identical with and
+without a ledger installed.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import numpy as np
 import pytest
 
 from repro.core.pmw import PMWConfig, private_multiplicative_weights
+from repro.core.release import release_synthetic_data
 from repro.mechanisms.ledger import (
     BudgetExceededError,
     PrivacyLedger,
@@ -24,7 +26,7 @@ from repro.mechanisms.ledger import (
 )
 from repro.mechanisms.spec import PrivacySpec
 from repro.queries.workload import Workload
-from repro.relational.hypergraph import two_table_query
+from repro.relational.hypergraph import single_table_query, two_table_query
 from repro.relational.instance import Instance
 
 
@@ -206,3 +208,59 @@ class TestPMWCharges:
         assert np.array_equal(bare.histogram, observed.histogram)
         assert bare.selected_queries == observed.selected_queries
         assert bare.noisy_total == observed.noisy_total
+
+
+class TestReleaseCharges:
+    """What the ambient ledger records for a release equals what it declares."""
+
+    FAST = PMWConfig(max_iterations=3)
+
+    @pytest.fixture()
+    def instances(self, two_table_instance, path3_instance, figure4_instance):
+        single = Instance.from_tuple_lists(
+            single_table_query({"X": 4, "Y": 3}),
+            {"T": [(x, y) for x in range(4) for y in range(3) if (x + y) % 2]},
+        )
+        return {
+            "single_table": single,
+            "two_table": two_table_instance,
+            "multi_table": path3_instance,
+            "uniformize_two_table": two_table_instance,
+            "uniformize_hierarchical": figure4_instance,
+        }
+
+    def _release(self, instance, method, epsilon, delta):
+        workload = Workload.random_sign(instance.query, 6, seed=0)
+        ledger = PrivacyLedger()
+        with use_ledger(ledger):
+            result = release_synthetic_data(
+                instance, workload, epsilon, delta, method=method, seed=3,
+                pmw_config=self.FAST,
+            )
+        return ledger, result
+
+    @pytest.mark.parametrize("method", ["single_table", "two_table", "multi_table"])
+    @pytest.mark.parametrize("epsilon, delta", [(1.0, 1e-6), (0.7, 3e-5)])
+    def test_ledger_total_equals_declared_privacy(self, instances, method, epsilon, delta):
+        ledger, result = self._release(instances[method], method, epsilon, delta)
+        assert ledger.total() == result.privacy == PrivacySpec(epsilon, delta)
+
+    @pytest.mark.parametrize(
+        "method, label",
+        [
+            ("two_table", "two_table.sensitivity"),
+            ("multi_table", "multi_table.residual_sensitivity"),
+        ],
+    )
+    def test_sensitivity_draw_is_charged_half_the_budget(self, instances, method, label):
+        ledger, _ = self._release(instances[method], method, 1.0, 1e-6)
+        labels = [entry.label for entry in ledger.entries]
+        assert labels == [label, "pmw.total", "pmw.rounds"]
+        assert ledger.entries[0].spec == PrivacySpec(0.5, 5e-7)
+
+    @pytest.mark.parametrize("method", ["uniformize_two_table", "uniformize_hierarchical"])
+    def test_uniformized_release_never_records_more_than_it_declares(self, instances, method):
+        ledger, result = self._release(instances[method], method, 1.0, 1e-6)
+        total = ledger.total()
+        assert total.epsilon <= result.privacy.epsilon
+        assert total.delta <= result.privacy.delta
