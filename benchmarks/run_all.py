@@ -55,7 +55,6 @@ from repro import telemetry  # noqa: E402  (path bootstrap must run first)
 from repro.experiments import EXPERIMENTS  # noqa: E402
 from repro.queries.backends import effective_cpu_count  # noqa: E402
 from repro.queries.evaluation import get_default_backend  # noqa: E402
-from repro.queries.vectorized import ENGINES  # noqa: E402
 
 #: Version of the ``BENCH_<id>.json`` record layout.  v2 added the UTC
 #: timestamp, host info, and the telemetry stage breakdown.
@@ -162,22 +161,6 @@ SMOKE_RUNS: dict[str, tuple] = {
             size_b=4,
             size_c=8,
             workers=2,
-            eval_repeats=1,
-            pmw_rounds=2,
-            tuples_per_relation=60,
-            chunk_size=256,
-            seed=0,
-        ),
-    ),
-    # The smoke engine defaults to the always-available NumPy kernel so the
-    # record is stable across machines; ``--engine jax`` swaps it.
-    "bench_e19_vectorized_evaluation": (
-        EXPERIMENTS["e19"],
-        dict(
-            size_a=8,
-            size_b=4,
-            size_c=8,
-            engine="numpy",
             eval_repeats=1,
             pmw_rounds=2,
             tuples_per_relation=60,
@@ -373,13 +356,6 @@ def main(argv: list[str] | None = None) -> int:
         help="skip copying the records to repo-root BENCH_<id>.json files",
     )
     parser.add_argument(
-        "--engine",
-        choices=ENGINES,
-        default=None,
-        help="pin the vector-backend kernel engine for the E19 smoke run "
-        "(default: the always-available numpy engine)",
-    )
-    parser.add_argument(
         "--compare",
         action="store_true",
         help="after the sweep, run the benchmarks/compare.py regression gate: "
@@ -387,8 +363,6 @@ def main(argv: list[str] | None = None) -> int:
         "fails this run)",
     )
     args = parser.parse_args(argv)
-    if args.engine is not None:
-        SMOKE_RUNS["bench_e19_vectorized_evaluation"][1]["engine"] = args.engine
 
     check_coverage()
     failures: list[str] = []

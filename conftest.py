@@ -10,10 +10,7 @@ path, and both point at the same files in develop mode).
 This conftest also registers the opt-in ``bench_smoke`` marker: tests carrying
 it (the ``benchmarks/run_all.py`` smoke suite) are skipped unless pytest is
 invoked with ``--bench-smoke``, so the default tier-1 run stays fast while the
-benchmark scripts can still be exercised in CI.  The ``requires_jax`` marker
-auto-skips JAX-engine tests when the optional JAX dependency is not
-importable, so the vector backend's accelerator path is exercised end-to-end
-where JAX exists and cleanly skipped where it does not.
+benchmark scripts can still be exercised in CI.
 
 Finally, shared-memory leaks are promoted from exit-time chatter to test
 failures: in-process ``resource_tracker`` warnings error out, and a
@@ -22,7 +19,6 @@ test (the tracker process only *prints* about those at interpreter exit,
 after every test has already passed) fails the run with the leaked names.
 """
 
-import importlib.util
 import sys
 from pathlib import Path
 
@@ -87,10 +83,6 @@ def pytest_configure(config):
         "markers",
         "bench_smoke: opt-in benchmark smoke execution (enable with --bench-smoke)",
     )
-    config.addinivalue_line(
-        "markers",
-        "requires_jax: JAX-engine tests, auto-skipped when JAX is not importable",
-    )
     # Resource-tracker leak reports raised in-process (e.g. a tracked
     # segment garbage-collected without unlink) must fail the test that
     # caused them, not scroll by as warnings.
@@ -98,13 +90,6 @@ def pytest_configure(config):
 
 
 def pytest_collection_modifyitems(config, items):
-    if importlib.util.find_spec("jax") is None:
-        skip_jax = pytest.mark.skip(
-            reason="requires the optional JAX dependency (pip install .[jax])"
-        )
-        for item in items:
-            if "requires_jax" in item.keywords:
-                item.add_marker(skip_jax)
     if config.getoption("--bench-smoke"):
         return
     skip_marker = pytest.mark.skip(reason="benchmark smoke tests need --bench-smoke")

@@ -41,7 +41,6 @@ from repro.queries.workload import Workload
 from repro.queries.backends import EvaluationBackend, register_backend, registered_backends
 from repro.queries.evaluation import (
     ErrorReport,
-    SparseWorkloadEvaluator,
     WorkloadEvaluator,
     auto_evaluator_mode,
     set_default_backend,
@@ -74,7 +73,6 @@ __all__ = [
     "Relation",
     "RelationSchema",
     "ReleaseResult",
-    "SparseWorkloadEvaluator",
     "SyntheticDataset",
     "TableQuery",
     "Workload",

@@ -4,7 +4,7 @@ The privacy ledger can only account for noise drawn behind a mechanism API
 — a ``rng.laplace(...)`` in an algorithm module is a sample no ledger entry
 ever charged, i.e. a silent privacy-budget leak.  This rule flags calls to
 the noise-sampling generator methods anywhere outside ``mechanisms/``; code
-elsewhere must call a mechanism (``laplace_mechanism``, ``gaussian_noise``,
+elsewhere must call a mechanism (``laplace_mechanism``, ``exponential_mechanism``,
 ...) which samples and charges together.
 """
 

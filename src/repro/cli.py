@@ -7,17 +7,15 @@ Usage::
     python -m repro.cli run all --seed 1    # run the full suite
     python -m repro.cli run e16 --evaluator-backend sharded --workers 4
     python -m repro.cli run e17 --evaluator-backend prefetch
-    python -m repro.cli run e19 --evaluator-backend vector
+    python -m repro.cli run e15 --evaluator-backend sparse
     python -m repro.cli demo                # tiny end-to-end quickstart
 
 Every experiment corresponds to a row of the per-experiment index in
 DESIGN.md; the printed tables are the ones recorded in EXPERIMENTS.md.
 ``--evaluator-backend`` / ``--workers`` set the process-wide default
 workload-evaluation backend (see ``repro.queries.backends``), so every
-release algorithm in the run inherits them.  ``vector`` selects the fused
-batch-kernel backend; its engine (JAX when importable, NumPy otherwise)
-auto-detects per process, or is pinned per evaluator via the ``engine``
-keyword.
+release algorithm in the run inherits them.  ``sparse`` selects the
+packed-CSR backend (one scipy matvec per evaluation).
 
 ``--telemetry`` turns the runtime telemetry layer on for the whole run
 (``repro.telemetry``): backend choices, PMW rounds, mechanism invocations
@@ -133,8 +131,7 @@ def main(argv: list[str] | None = None) -> int:
             choices=("auto",) + registered_backends(),
             default="auto",
             help="workload-evaluation backend for every release in the run "
-            "('vector' = fused batch kernels, JAX engine when importable "
-            "with a NumPy fallback)",
+            "('sparse' = packed CSR, one scipy matvec per evaluation)",
         )
         sub.add_argument(
             "--workers",

@@ -36,7 +36,6 @@ from repro.experiments import (
     e16_sharded_evaluation,
     e17_streaming_prefetch,
     e18_domain_partitioned,
-    e19_vectorized_evaluation,
     e20_observability,
 )
 
@@ -84,7 +83,6 @@ _RUNNERS = {
     "e16": e16_sharded_evaluation.run,
     "e17": e17_streaming_prefetch.run,
     "e18": e18_domain_partitioned.run,
-    "e19": e19_vectorized_evaluation.run,
     "e20": e20_observability.run,
 }
 
@@ -109,7 +107,6 @@ DESCRIPTIONS = {
     "e16": "Sharded multi-process evaluation — parallel speedup with bitwise PMW parity",
     "e17": "Pipelined streaming evaluation — async chunk prefetch with bitwise parity",
     "e18": "Domain-partitioned histograms — per-slice shared memory, no |D| allocation",
-    "e19": "Vectorised batch kernels — fused whole-workload evaluation, JAX jit or NumPy",
     "e20": "Observability — hash-chained audit journal, live scrape endpoints, overhead",
 }
 

@@ -1,6 +1,6 @@
 """Differential-privacy mechanism substrate.
 
-Noise primitives (Laplace, truncated/shifted Laplace, Gaussian), the
+Noise primitives (Laplace, truncated/shifted Laplace), the
 exponential mechanism, privacy specifications and composition rules.  Every
 sampling function takes an explicit ``numpy.random.Generator`` so that all
 algorithms in the library are reproducible under a fixed seed.
@@ -15,7 +15,6 @@ from repro.mechanisms.truncated_laplace import (
     truncation_radius,
 )
 from repro.mechanisms.exponential import exponential_mechanism, exponential_mechanism_probabilities
-from repro.mechanisms.gaussian import gaussian_mechanism, gaussian_sigma
 from repro.mechanisms.composition import (
     advanced_composition,
     basic_composition,
@@ -43,8 +42,6 @@ __all__ = [
     "basic_composition",
     "exponential_mechanism",
     "exponential_mechanism_probabilities",
-    "gaussian_mechanism",
-    "gaussian_sigma",
     "group_privacy",
     "laplace_mechanism",
     "parallel_composition",

@@ -6,8 +6,8 @@ join size ``Σ_t ρ(t)·Π_i q_i(t_i)·R_i(t_i)``.  This subpackage provides the
 query objects, standard workload families (counting, predicates, marginals,
 ranges, random signs), and exact evaluation against both instances and
 released synthetic datasets through the pluggable evaluation-backend
-registry (dense / sparse / vectorised batch kernels / sharded /
-domain-partitioned / streaming / prefetching-streaming).
+registry (dense / sparse CSR / sharded / domain-partitioned / streaming /
+prefetching-streaming).
 """
 
 from repro.queries.linear import ProductQuery, TableQuery, all_one_query, counting_query
@@ -26,24 +26,15 @@ from repro.queries.backends import (
 )
 from repro.queries.evaluation import (
     ErrorReport,
-    SparseWorkloadEvaluator,
     WorkloadEvaluator,
     auto_evaluator_mode,
-    evaluate_workload_on_histogram,
-    evaluate_workload_on_instance,
     evaluator_backend_costs,
     get_default_backend,
     max_error,
     set_default_backend,
     shared_evaluator,
 )
-from repro.queries.vectorized import (
-    PackedWorkload,
-    VectorizedBackend,
-    accelerator_available,
-    jax_available,
-    resolve_engine,
-)
+from repro.queries.vectorized import PackedWorkload
 
 __all__ = [
     "ArrayHistogramSession",
@@ -56,24 +47,17 @@ __all__ = [
     "HistogramSession",
     "PackedWorkload",
     "ProductQuery",
-    "SparseWorkloadEvaluator",
     "TableQuery",
-    "VectorizedBackend",
     "Workload",
     "WorkloadEvaluator",
-    "accelerator_available",
     "all_one_query",
     "auto_evaluator_mode",
     "counting_query",
-    "evaluate_workload_on_histogram",
-    "evaluate_workload_on_instance",
     "evaluator_backend_costs",
     "get_default_backend",
-    "jax_available",
     "max_error",
     "register_backend",
     "registered_backends",
-    "resolve_engine",
     "set_default_backend",
     "shared_evaluator",
     "unregister_backend",

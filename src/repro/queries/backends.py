@@ -27,7 +27,10 @@ cheapest-per-evaluation eligible backend wins (``speed_rank`` orders the
 per-evaluation cost: dense matmul < sharded parallel matvec < serial CSR
 matvec < pipelined streaming re-scan < serial streaming re-scan).
 Registering a custom backend class is enough for ``mode="auto"``, the CLI
-flags, and the parity test-suite to pick it up.
+flags, and the parity test-suite to pick it up.  This module defines the
+``dense``, ``streaming`` and ``prefetch`` backends; the CSR backend
+(``sparse``) lives in :mod:`repro.queries.vectorized` and the process-pool
+backends (``sharded``, ``domain``) in :mod:`repro.queries.sharded`.
 
 Shared machinery (exact support-size einsums, chunk plans, chunked support
 construction) lives in :class:`EvaluatorContext`, which every backend
@@ -210,10 +213,6 @@ def streaming_scratch_bytes(context: "EvaluatorContext") -> int:
 class EvaluatorConfig:
     """Budgets and knobs shared by every backend of one evaluator.
 
-    ``engine`` selects the kernel engine of engine-aware backends (the
-    vectorised backend's ``"jax"``/``"numpy"``; ``None`` = auto-detect).
-    Backends without interchangeable kernels ignore it.
-
     ``telemetry`` scopes this evaluator's instrumentation: ``None`` (the
     default) follows the process-global switch
     (:func:`repro.telemetry.configure`), ``False`` forces this evaluator's
@@ -227,7 +226,6 @@ class EvaluatorConfig:
     sparse_cell_budget: int = _SPARSE_CELL_BUDGET
     chunk_size: int = _DEFAULT_CHUNK_SIZE
     workers: int = 1
-    engine: str | None = None
     telemetry: bool | None = None
 
 
@@ -519,10 +517,9 @@ class HistogramSession:
     ``answers()``
         The workload answer vector against the current contents.  A session
         may maintain it incrementally between full evaluations: the
-        ``vector`` NumPy-engine session updates it per delta and matches a
-        fresh evaluation to 1e-9 relative, while the backends'
-        ``answers_on_histogram`` (and the ``sparse`` session, the exact
-        reference) evaluate from scratch.
+        ``sparse`` session updates it per delta and matches a fresh
+        evaluation to 1e-9 relative, while the backends'
+        ``answers_on_histogram`` evaluate from scratch.
     ``scale_support(indices, factors)``
         Multiply the cells at ``indices`` by ``factors`` — the PMW support
         delta.  ``indices`` must be sorted ascending (query supports are
@@ -976,83 +973,6 @@ class DenseBackend(EvaluationBackend):
 
     def estimated_memory(self) -> int:
         return 8 * self.matrix.size
-
-
-@register_backend
-class SparseBackend(EvaluationBackend):
-    """One CSR-style support per query; answers are a batched sparse matvec."""
-
-    name = "sparse"
-    speed_rank = 20
-    caches_all_supports = True
-
-    def __init__(self, context: EvaluatorContext):
-        super().__init__(context)
-        self._csr: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
-
-    @classmethod
-    def is_eligible(cls, context: EvaluatorContext) -> bool:
-        return context.supports_fit_budget()
-
-    @classmethod
-    def estimate_cost(cls, context: EvaluatorContext) -> BackendCost:
-        total = context.total_support_size()
-        eligible = total <= context.config.sparse_cell_budget
-        return BackendCost(
-            backend=cls.name,
-            eligible=eligible,
-            speed_rank=cls.speed_rank,
-            memory_bytes=16 * total,
-            reason=""
-            if eligible
-            else f"total support {total} exceeds sparse cell budget "
-            f"{context.config.sparse_cell_budget}",
-        )
-
-    def _concatenated_supports(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Concatenated ``(indptr, indices, values)`` of all query supports.
-
-        Re-points the per-query cache at zero-copy slices of the
-        concatenated arrays, so both representations share storage.
-        """
-        supports = [
-            self.query_support(index) for index in range(self._context.num_queries)
-        ]
-        counts = np.array([indices.size for indices, _ in supports], dtype=np.int64)
-        indices = (
-            np.concatenate([s[0] for s in supports])
-            if supports
-            else np.empty(0, dtype=np.int64)
-        )
-        values = (
-            np.concatenate([s[1] for s in supports])
-            if supports
-            else np.empty(0, dtype=np.float64)
-        )
-        indptr = np.concatenate(([0], np.cumsum(counts))).astype(np.int64)
-        for index in range(len(supports)):
-            lo, hi = int(indptr[index]), int(indptr[index + 1])
-            self._supports[index] = (indices[lo:hi], values[lo:hi])
-        return indptr, indices, values
-
-    def _ensure_csr(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Concatenated ``(row ids, indices, values)`` of all query supports."""
-        if self._csr is None:
-            indptr, indices, values = self._concatenated_supports()
-            row_ids = np.repeat(
-                np.arange(indptr.size - 1, dtype=np.int64), np.diff(indptr)
-            )
-            self._csr = (row_ids, indices, values)
-        return self._csr
-
-    def answers_on_histogram(self, flat: np.ndarray) -> np.ndarray:
-        row_ids, indices, values = self._ensure_csr()
-        return np.bincount(
-            row_ids, weights=values * flat[indices], minlength=self._context.num_queries
-        )
-
-    def estimated_memory(self) -> int:
-        return 16 * self._context.total_support_size()
 
 
 @register_backend

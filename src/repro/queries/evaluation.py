@@ -12,10 +12,13 @@ algorithms never care which one is active:
     evaluation, but the matrix costs ``8·|Q|·|D|`` bytes.
 ``sparse``
     Stores one CSR-style ``(indices, values)`` support per query — only the
-    joint-domain cells where the query value is non-zero.  Memory is
+    joint-domain cells where the query value is non-zero — packed into one
+    ``scipy.sparse.csr_matrix``, so an evaluation is one matvec.  Memory is
     ``O(Σ_q nnz(q))`` instead of ``O(|Q|·|D|)``; threshold/marginal
     workloads are overwhelmingly sparse, so this is usually a large
-    reduction.
+    reduction.  Its PMW session keeps the answers current per support
+    delta (1e-9 relative to a fresh evaluation), see
+    :mod:`repro.queries.vectorized`.
 ``sharded``
     The sparse CSR split into row shards evaluated by a persistent
     ``multiprocessing`` worker pool over a shared-memory histogram (with a
@@ -44,18 +47,6 @@ algorithms never care which one is active:
     bitwise — PMW *selections* stay bitwise under a fixed seed).  Opt-in
     via ``mode="domain"``; this is the strategy for histograms one address
     space cannot hold.
-``vector``
-    The whole workload compiled once into packed batch tensors (the
-    concatenated CSR supports plus bucketed rectangular index/weight
-    padding) and answered by one fused kernel call per evaluation.  Two
-    interchangeable engines share the packed layout, selected by the
-    ``engine`` knob: a ``jax.jit`` path with the histogram resident on
-    the device across PMW rounds (requires the optional JAX dependency,
-    ``pip install .[jax]``), and a pure-NumPy/scipy CPU path whose fused
-    CSR matvec is bitwise identical to ``sparse``.  Auto-eligible when
-    the workload is large enough to amortise packing and rectangular
-    enough to pad within the cost model's waste limit — at that point it
-    outranks serial ``sparse``.
 
 Iterated evaluation drives a :class:`~repro.queries.backends.HistogramSession`
 — an operation protocol (``answers``, ``scale_support``, ``scale``,
@@ -107,14 +98,13 @@ from repro.queries.backends import (
     registered_backends,
     unregister_backend,
 )
-from repro.queries.vectorized import ENGINES, resolve_engine
 from repro.queries.workload import Workload
 from repro.relational.instance import Instance
 from repro.telemetry import registry as _telemetry_registry
 
-# Importing the modules registers the sharded and vectorised backends.
-import repro.queries.sharded  # noqa: F401  (registration side effect)
+# Importing the modules registers the sparse, sharded and domain backends.
 import repro.queries.vectorized  # noqa: F401  (registration side effect)
+import repro.queries.sharded  # noqa: F401  (registration side effect)
 
 
 @dataclass(frozen=True)
@@ -193,10 +183,6 @@ class WorkloadEvaluator:
     ----------
     workload:
         The query family.
-    materialize:
-        Legacy switch: ``True`` forces the dense backend, ``False`` forbids
-        it (auto-picking among the memory-bounded backends).  Superseded by
-        ``mode``.
     mode / backend:
         ``"auto"`` or any registered backend name (``"dense"``,
         ``"sparse"``, ``"sharded"``, ``"domain"``, ``"streaming"``,
@@ -218,12 +204,6 @@ class WorkloadEvaluator:
         automatic choice; ``domain`` sizes its per-slice segments by it)
         and the decode look-ahead depth of the prefetching streaming
         backend.
-    engine:
-        Kernel engine for engine-aware backends: ``"jax"`` or ``"numpy"``
-        for the vector backend (``None`` auto-detects, preferring JAX
-        when importable), and any non-``None`` value opts the sharded
-        backend's workers into fused per-shard CSR kernels.  Backends
-        without interchangeable kernels ignore it.
     telemetry:
         Per-evaluator instrumentation scope: ``None`` follows the global
         :func:`repro.telemetry.configure` switch, ``False`` keeps this
@@ -234,7 +214,6 @@ class WorkloadEvaluator:
     def __init__(
         self,
         workload: Workload,
-        materialize: bool | None = None,
         *,
         mode: str | None = None,
         backend: str | None = None,
@@ -242,27 +221,13 @@ class WorkloadEvaluator:
         sparse_cell_budget: int = _SPARSE_CELL_BUDGET,
         chunk_size: int = _DEFAULT_CHUNK_SIZE,
         workers: int | None = None,
-        engine: str | None = None,
         telemetry: bool | None = None,
     ):
-        if engine is not None and engine not in ENGINES:
-            raise ValueError(
-                f"unknown vector engine {engine!r}; expected one of {ENGINES} or None"
-            )
         name = backend if backend is not None else mode
         if name is None:
-            if materialize is True:
-                name = "dense"
-            elif materialize is False:
-                # Legacy "never materialise": auto-pick among the
-                # memory-bounded backends (sparse while the measured support
-                # fits, else streaming).
-                name = "auto"
-                cell_budget = 0
-            else:
-                name, default_workers = get_default_backend()
-                if workers is None:
-                    workers = default_workers
+            name, default_workers = get_default_backend()
+            if workers is None:
+                workers = default_workers
         if workers is None:
             workers = 1
         if name != "auto":
@@ -280,7 +245,6 @@ class WorkloadEvaluator:
                 sparse_cell_budget=int(sparse_cell_budget),
                 chunk_size=int(chunk_size),
                 workers=int(workers),
-                engine=engine,
                 telemetry=telemetry,
             ),
         )
@@ -317,14 +281,6 @@ class WorkloadEvaluator:
     @property
     def workers(self) -> int:
         return self._context.config.workers
-
-    @property
-    def engine(self) -> str | None:
-        """The kernel engine: resolved by the active backend when it has one."""
-        backend = self._backend
-        if backend is not None and hasattr(backend, "engine"):
-            return backend.engine
-        return self._context.config.engine
 
     @property
     def mode(self) -> str:
@@ -443,31 +399,6 @@ class WorkloadEvaluator:
             self._backend.close()
 
 
-class SparseWorkloadEvaluator(WorkloadEvaluator):
-    """A :class:`WorkloadEvaluator` that never builds the dense matrix.
-
-    Picks the sparse CSR form while the measured total support fits the
-    sparse cell budget and falls back to chunked streaming beyond it —
-    i.e. ``mode="auto"`` with the dense option removed.
-    """
-
-    def __init__(
-        self,
-        workload: Workload,
-        *,
-        sparse_cell_budget: int = _SPARSE_CELL_BUDGET,
-        chunk_size: int = _DEFAULT_CHUNK_SIZE,
-    ):
-        super().__init__(
-            workload,
-            mode="auto",
-            cell_budget=0,
-            sparse_cell_budget=sparse_cell_budget,
-            chunk_size=chunk_size,
-            workers=1,
-        )
-
-
 # ---------------------------------------------------------------------- #
 # cost-model helpers
 # ---------------------------------------------------------------------- #
@@ -528,15 +459,14 @@ def shared_evaluator(
     *,
     backend: str | None = None,
     workers: int | None = None,
-    engine: str | None = None,
 ) -> WorkloadEvaluator:
-    """One cached evaluator per workload and ``(backend, workers, engine)``.
+    """One cached evaluator per workload and ``(backend, workers)``.
 
     The release algorithms and baselines call this instead of constructing a
     fresh :class:`WorkloadEvaluator` per invocation, so repeated releases
     over the same workload — uniformized per-bucket runs, trial sweeps, the
-    baselines — share the dense matrix, cached query supports, compiled
-    vector kernels, or sharded worker pool.  The cache lives on the
+    baselines — share the dense matrix, packed CSR supports, or
+    sharded worker pool.  The cache lives on the
     workload object itself (:meth:`~repro.queries.workload.Workload.private_cache`),
     so entries are evicted exactly when the workload is garbage-collected —
     the cache/evaluator/workload reference cycle is collectable, unlike a
@@ -552,16 +482,7 @@ def shared_evaluator(
         # Canonicalise through the backend's worker invariant (sharded's
         # >= 2 floor) so equivalent requests share one cache entry.
         workers = backend_class(name).normalize_workers(workers)
-    if engine is not None and engine not in ENGINES:
-        raise ValueError(
-            f"unknown vector engine {engine!r}; expected one of {ENGINES} or None"
-        )
-    # The vector backend resolves ``None`` to a concrete engine at
-    # construction, so canonicalise the key the same way: the JAX and
-    # NumPy compilations must never collide, and ``None`` must share the
-    # entry of whichever engine it resolves to.
-    canonical_engine = resolve_engine(engine) if name == "vector" else engine
-    key = (name, int(workers), canonical_engine)
+    key = (name, int(workers))
     cache = workload.private_cache("shared_evaluators")
     evaluator = cache.get(key)
     _telemetry_registry().counter(
@@ -570,28 +491,9 @@ def shared_evaluator(
         event="hit" if evaluator is not None else "miss",
     ).add()
     if evaluator is None:
-        evaluator = WorkloadEvaluator(workload, mode=name, workers=workers, engine=engine)
+        evaluator = WorkloadEvaluator(workload, mode=name, workers=workers)
         cache[key] = evaluator
     return evaluator
-
-
-def evaluate_workload_on_instance(workload: Workload, instance: Instance) -> np.ndarray:
-    """Exact answers of every workload query on an instance.
-
-    Uses (and warms) the per-workload :func:`shared_evaluator`, so repeated
-    calls — and any releases over the same workload — reuse one backend;
-    its supports/matrix stay cached for the workload's lifetime.
-    """
-    return shared_evaluator(workload).answers_on_instance(instance)
-
-
-def evaluate_workload_on_histogram(workload: Workload, histogram: np.ndarray) -> np.ndarray:
-    """Answers of every workload query against a joint-domain histogram.
-
-    Uses (and warms) the per-workload :func:`shared_evaluator`; see
-    :func:`evaluate_workload_on_instance` for the caching trade-off.
-    """
-    return shared_evaluator(workload).answers_on_histogram(histogram)
 
 
 def max_error(workload: Workload, instance: Instance, histogram: np.ndarray) -> float:

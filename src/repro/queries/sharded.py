@@ -11,14 +11,14 @@ workers the moment they are written.
 Two sharding strategies mirror the serial backends:
 
 ``csr``
-    When the total support fits the sparse cell budget, the concatenated
-    CSR arrays are split into contiguous *row* shards balanced by entry
-    count.  A query's entries are never split across shards, so each
-    per-query partial sum runs over exactly the entries the serial sparse
-    backend would accumulate, in the same order — per-query answers are
-    bitwise identical to the serial sparse path (the other shards
-    contribute exact zeros), which is what keeps PMW query selections
-    reproducible across ``workers`` settings.
+    When the total support fits the sparse cell budget, the packed CSR is
+    split into contiguous *row* shards balanced by entry count, each
+    evaluated by its own ``csr_matrix`` matvec.  A query's entries are
+    never split across shards, so each per-query partial sum runs over
+    exactly the entries the serial sparse matvec accumulates, in the same
+    order — per-query answers are bitwise identical to the serial sparse
+    path (the other shards contribute exact zeros), which is what keeps
+    PMW query selections reproducible across ``workers`` settings.
 ``chunked``
     Beyond the sparse budget, the joint domain is split into contiguous
     chunk-aligned ranges and each worker runs the streaming re-scan over
@@ -29,8 +29,8 @@ Two sharding strategies mirror the serial backends:
 instead of the query rows: each shard owns one contiguous slice of the
 flat joint domain, backed by its own shared-memory segment of
 ``8·(slice length)`` bytes — the full ``8·|D|`` histogram never exists as
-one allocation anywhere.  Query supports are split at the slice bounds
-with their flat indices re-indexed slice-locally; per-query answers are
+one allocation anywhere.  The packed CSR is split at the slice bounds into
+one slice-local ``csr_matrix`` per shard; per-query answers are
 the sum of per-slice partial sums (combined in fixed slice order), and a
 renormalisation is a local scale per slice plus one scalar all-reduce for
 the total.  The session ops of the PR 2 delta protocol map one-to-one
@@ -48,6 +48,14 @@ once per worker through the pool initializer.  Pool and shared memory
 (one segment, or one per domain slice) are torn down by ``close()`` or,
 failing that, a ``weakref.finalize`` when the backend is
 garbage-collected.
+
+**A dead worker.**  A worker that dies (killed, out of memory) breaks the
+whole ``ProcessPoolExecutor``.  The histogram lives in parent-owned
+segments and the worker state in the parent's table, so an evaluation that
+meets a broken pool starts one new pool from the same state and segments
+and resubmits its shards — the histogram contents survive, and the answers
+are those of an unbroken pool.  A pool that breaks again within the same
+evaluation raises.  Restarts count on ``pool.restarts{backend=<name>}``.
 
 **Telemetry.**  While the parent records
 (:func:`repro.telemetry.configure`), each pool worker is handed a flush
@@ -67,6 +75,7 @@ import itertools
 import multiprocessing
 import weakref
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from multiprocessing import shared_memory
 
 import numpy as np
@@ -77,11 +86,11 @@ from repro.queries.backends import (
     EvaluatorContext,
     HistogramSeed,
     HistogramSession,
-    SparseBackend,
     iter_decoded_chunks,
     register_backend,
     streaming_scratch_bytes,
 )
+from repro.queries.vectorized import SparseBackend, shard_matvec_kernels, slice_matrix
 from repro.telemetry import (
     is_enabled as _telemetry_enabled,
     registry as _telemetry_registry,
@@ -199,33 +208,40 @@ def _eval_shard_impl(key: int, shard_id: int) -> np.ndarray:
         # support indices were re-indexed slice-locally at start-up.
         histogram = state["histograms"][shard_id]
         if state["representation"] == "csr":
-            rows, indices, values = state["slice_csr"][shard_id]
-            return np.bincount(
-                rows, weights=values * histogram[indices], minlength=num_queries
-            )
+            return state["slice_matrices"][shard_id] @ histogram
         start, end = state["slices"][shard_id]
         return _scan_range(state, histogram, start, end, offset=start)
     histogram = state["histograms"][0]
     if strategy == "csr":
-        kernels = state.get("shard_kernels")
-        if kernels is not None:
-            # Engine-configured path: the shard's rows as one fused CSR
-            # matvec (scipy).  Row-sequential accumulation in element order
-            # matches the bincount below bitwise, so answers — and PMW
-            # selections — are unchanged.
-            row_lo, row_hi = state["row_spans"][shard_id]
-            partial = np.zeros(num_queries, dtype=np.float64)
-            partial[row_lo:row_hi] = kernels[shard_id] @ histogram
-            return partial
-        lo, hi = state["shards"][shard_id]
-        rows = state["row_ids"][lo:hi]
-        indices = state["indices"][lo:hi]
-        values = state["values"][lo:hi]
-        return np.bincount(
-            rows, weights=values * histogram[indices], minlength=num_queries
-        )
+        # The shard's rows as one CSR matvec: each row accumulates in the
+        # serial matrix's element order, so the partials are bitwise equal.
+        row_lo, row_hi = state["row_spans"][shard_id]
+        partial = np.zeros(num_queries, dtype=np.float64)
+        partial[row_lo:row_hi] = state["shard_kernels"][shard_id] @ histogram
+        return partial
     start, end = state["ranges"][shard_id]
     return _scan_range(state, histogram, start, end, offset=0)
+
+
+def _new_pool(workers: int, pool_spec: tuple) -> ProcessPoolExecutor:
+    """A worker pool from ``(mp_context, initializer arguments)``."""
+    mp_context, initargs = pool_spec
+    return ProcessPoolExecutor(
+        max_workers=workers,
+        mp_context=mp_context,
+        initializer=_init_worker,
+        initargs=initargs,
+    )
+
+
+def _stop_pool(executor: ProcessPoolExecutor) -> None:
+    """Shut a pool down, tolerating one whose workers are already gone."""
+    try:
+        executor.shutdown(wait=True, cancel_futures=True)
+    except (OSError, RuntimeError):
+        # BrokenProcessPool (a RuntimeError) or dead pipes: the workers are
+        # already gone, which is all shutdown was for.
+        pass
 
 
 def _shutdown(
@@ -240,12 +256,7 @@ def _shutdown(
     *after* the pool joins (every worker's exit hook has run by then) and
     merged into the parent registry under per-pid ``worker`` labels.
     """
-    try:
-        executor.shutdown(wait=True, cancel_futures=True)
-    except (OSError, RuntimeError):
-        # BrokenProcessPool (a RuntimeError) or dead pipes: the workers are
-        # already gone, which is all shutdown was for.
-        pass
+    _stop_pool(executor)
     if telemetry_queue is not None:
         drain_flush_queue(telemetry_queue, label="worker")
         try:
@@ -299,8 +310,12 @@ class ShardedBackend(SparseBackend):
     def __init__(self, context: EvaluatorContext):
         super().__init__(context)
         self._executor: ProcessPoolExecutor | None = None
-        self._shm: shared_memory.SharedMemory | None = None
-        self._view: np.ndarray | None = None
+        # What a restart needs: (mp_context, initializer arguments).
+        self._pool_spec: tuple | None = None
+        self._shms: list[shared_memory.SharedMemory] | None = None
+        self._views: list[np.ndarray] | None = None
+        # The flat [lo, hi) domain range each segment holds.
+        self._segments: list[tuple[int, int]] = []
         self._key: int | None = None
         self._num_shards = 0
         self._finalizer: weakref.finalize | None = None
@@ -363,41 +378,26 @@ class ShardedBackend(SparseBackend):
 
     def _csr_shards(self) -> tuple[dict, int]:
         """The worker state for the ``csr`` strategy: balanced row shards."""
-        row_ids, indices, values = self._ensure_csr()
-        counts = np.bincount(row_ids, minlength=self._context.num_queries).astype(np.int64)
-        offsets = np.concatenate(([0], np.cumsum(counts)))
-        total = int(offsets[-1])
+        packed = self._ensure_packed()
+        offsets = packed.indptr
         # Shard boundaries on row borders, targeting equal entry counts; a
         # query's entries are never split, preserving its serial sum order.
-        targets = (total * np.arange(1, self._workers)) // self._workers
+        targets = (packed.total_entries * np.arange(1, self._workers)) // self._workers
         row_bounds = np.unique(
-            np.concatenate(([0], np.searchsorted(offsets, targets, side="left"), [len(counts)]))
+            np.concatenate(
+                ([0], np.searchsorted(offsets, targets, side="left"), [packed.num_queries])
+            )
         )
-        shards = [
-            (int(offsets[row_bounds[i]]), int(offsets[row_bounds[i + 1]]))
-            for i in range(len(row_bounds) - 1)
-        ]
+        row_spans, kernels = shard_matvec_kernels(
+            row_bounds, packed, self._context.domain_size
+        )
         state = {
             "strategy": "csr",
             "num_queries": self._context.num_queries,
-            "row_ids": row_ids,
-            "indices": indices,
-            "values": values,
-            "shards": shards,
+            "row_spans": row_spans,
+            "shard_kernels": kernels,
         }
-        if self._context.config.engine is not None:
-            # An explicit engine opts the workers into the vector backend's
-            # fused CSR matvec for their local row slice (scipy only — JAX
-            # state never crosses a fork; absent scipy the bincount path
-            # stands).  Partials stay bitwise identical either way.
-            from repro.queries.vectorized import shard_matvec_kernels
-
-            kernels = shard_matvec_kernels(
-                row_bounds, offsets, indices, values, self._context.domain_size
-            )
-            if kernels is not None:
-                state["row_spans"], state["shard_kernels"] = kernels
-        return state, len(shards)
+        return state, len(row_spans)
 
     def _chunk_shards(self) -> tuple[dict, int]:
         """The worker state for the ``chunked`` strategy: chunk-aligned ranges."""
@@ -422,19 +422,31 @@ class ShardedBackend(SparseBackend):
         }
         return state, len(ranges)
 
-    def _start(self) -> None:
-        if self._executor is not None:
-            return
-        context = self._context
+    def _worker_state(self) -> tuple[dict, int, list[tuple[int, int]]]:
+        """``(worker state, shard count, segment ranges)`` of a new pool.
+
+        The row-sharded strategies share one segment holding the whole
+        domain.
+        """
         state, num_shards = (
             self._csr_shards() if self.strategy == "csr" else self._chunk_shards()
         )
-        shm = shared_memory.SharedMemory(create=True, size=max(8 * context.domain_size, 8))
+        return state, num_shards, [(0, self._context.domain_size)]
+
+    def _start(self) -> None:
+        if self._executor is not None:
+            return
+        state, num_shards, segments = self._worker_state()
         key = next(_BACKEND_KEYS)
+        shms: list[shared_memory.SharedMemory] = []
         try:
-            view = np.ndarray((context.domain_size,), dtype=np.float64, buffer=shm.buf)
-            state["histograms"] = [view]
-            # Under fork the workers inherit this entry (and the shm mapping)
+            views = []
+            for lo, hi in segments:
+                shm = shared_memory.SharedMemory(create=True, size=max(8 * (hi - lo), 8))
+                shms.append(shm)
+                views.append(np.ndarray((hi - lo,), dtype=np.float64, buffer=shm.buf))
+            state["histograms"] = views
+            # Under fork the workers inherit this entry (and the shm mappings)
             # copy-on-write; nothing is pickled.  Under spawn the initializer
             # rebuilds it from the pickled payload.
             _WORKER_STATES[key] = state
@@ -450,58 +462,61 @@ class ShardedBackend(SparseBackend):
             mp_context = multiprocessing.get_context("fork" if use_fork else "spawn")
             telemetry_queue = None
             telemetry_init = None
-            if context.telemetry_enabled():
+            if self._context.telemetry_enabled():
                 # The flush queue travels through initargs — the sanctioned
                 # inheritance channel under both fork and spawn.
                 telemetry_queue = create_flush_queue(mp_context)
                 telemetry_init = (True, telemetry_queue)
-            executor = ProcessPoolExecutor(
-                max_workers=self._workers,
-                mp_context=mp_context,
-                initializer=_init_worker,
-                initargs=(
-                    key,
-                    ((shm.name, context.domain_size),),
-                    payload,
-                    telemetry_init,
-                ),
+            segment_names = tuple(
+                (shm.name, hi - lo) for shm, (lo, hi) in zip(shms, segments)
             )
+            pool_spec = (mp_context, (key, segment_names, payload, telemetry_init))
+            executor = _new_pool(self._workers, pool_spec)
         except BaseException:
-            # A failure between segment creation and pool start must not
-            # leave the segment behind in /dev/shm (or a stale state entry).
+            # A failure after any segment was created — mid-way through the
+            # per-segment creation loop included — must not leave segments
+            # behind in /dev/shm (or a stale state entry).
             _WORKER_STATES.pop(key, None)
             state.pop("histograms", None)
-            view = None  # drop the buffer export before closing the mapping
-            try:
-                shm.close()
-            except (BufferError, OSError):
-                pass
-            try:
-                shm.unlink()
-            except OSError:
-                pass
+            views = None  # drop the buffer exports before closing the mappings
+            for shm in shms:
+                try:
+                    shm.close()
+                except (BufferError, OSError):
+                    pass
+                try:
+                    shm.unlink()
+                except OSError:
+                    pass
             raise
         self._executor = executor
-        self._shm = shm
-        self._view = view
+        self._pool_spec = pool_spec
+        self._shms = shms
+        self._views = views
+        self._segments = segments
         self._key = key
         self._num_shards = num_shards
         self._finalizer = weakref.finalize(
-            self, _shutdown, executor, [shm], key, telemetry_queue
+            self, _shutdown, executor, shms, key, telemetry_queue
         )
 
     def _histogram_view(self) -> np.ndarray:
         self._start()
-        assert self._view is not None
-        return self._view
+        assert self._views is not None
+        return self._views[0]
 
-    def _dispatch(self) -> np.ndarray:
-        """One parallel evaluation of the current shared-histogram contents."""
-        assert self._executor is not None and self._key is not None
+    def _restart_pool(self) -> None:
+        """Replace a broken pool by a new one over the same state and segments."""
+        assert self._finalizer is not None and self._pool_spec is not None
+        executor = _new_pool(self._workers, self._pool_spec)
+        _obj, _func, (broken, *teardown), _kwargs = self._finalizer.detach()
+        self._finalizer = weakref.finalize(self, _shutdown, executor, *teardown)
+        self._executor = executor
+        _stop_pool(broken)
         if self._context.telemetry_enabled():
-            _telemetry_registry().counter(
-                "sharded.dispatches", backend=self.name
-            ).add()
+            _telemetry_registry().counter("pool.restarts", backend=self.name).add()
+
+    def _gather(self) -> np.ndarray:
         futures = [
             self._executor.submit(_eval_shard, self._key, shard_id)
             for shard_id in range(self._num_shards)
@@ -512,6 +527,23 @@ class ShardedBackend(SparseBackend):
         for future in futures:
             answers += future.result()
         return answers
+
+    def _dispatch(self) -> np.ndarray:
+        """One parallel evaluation of the current shared-histogram contents.
+
+        A broken pool (a dead worker) is replaced once and the shards are
+        resubmitted; a second break raises ``BrokenProcessPool``.
+        """
+        assert self._executor is not None and self._key is not None
+        if self._context.telemetry_enabled():
+            _telemetry_registry().counter(
+                "sharded.dispatches", backend=self.name
+            ).add()
+        try:
+            return self._gather()
+        except BrokenProcessPool:
+            self._restart_pool()
+            return self._gather()
 
     # -- evaluation -------------------------------------------------------
     def answers_on_histogram(self, flat: np.ndarray) -> np.ndarray:
@@ -569,13 +601,15 @@ class ShardedBackend(SparseBackend):
         return self._resident_bytes(self._context)
 
     def close(self) -> None:
-        """Shut down the worker pool and unlink the shared-memory histogram."""
+        """Shut down the worker pool and unlink every shared-memory segment."""
         if self._finalizer is not None:
             self._finalizer()
             self._finalizer = None
         self._executor = None
-        self._shm = None
-        self._view = None
+        self._pool_spec = None
+        self._shms = None
+        self._views = None
+        self._segments = []
         self._session_open = False
 
 
@@ -704,12 +738,6 @@ class DomainShardedBackend(ShardedBackend):
     #: per-op slice bookkeeping of the partitioned session.
     speed_rank = 12
 
-    def __init__(self, context: EvaluatorContext):
-        super().__init__(context)
-        self._shms: list[shared_memory.SharedMemory] | None = None
-        self._views: list[np.ndarray] | None = None
-        self._slices: list[tuple[int, int]] = []
-
     # -- cost model -------------------------------------------------------
     @classmethod
     def is_eligible(cls, context: EvaluatorContext) -> bool:
@@ -749,8 +777,8 @@ class DomainShardedBackend(ShardedBackend):
         """``"csr"`` while the supports fit the sparse budget, else ``"chunked"``."""
         return "csr" if self._context.supports_fit_budget() else "chunked"
 
-    def _domain_state(self) -> tuple[dict, list[tuple[int, int]]]:
-        """The worker state: per-slice re-indexed CSR entries or scan plans."""
+    def _worker_state(self) -> tuple[dict, int, list[tuple[int, int]]]:
+        """Per-slice CSR matrices or scan plans, and one segment per slice."""
         context = self._context
         state: dict = {
             "strategy": "domain",
@@ -759,14 +787,8 @@ class DomainShardedBackend(ShardedBackend):
         }
         if self.representation == "csr":
             slices = _plan_domain_slices(context.domain_size, self._workers)
-            row_ids, indices, values = self._ensure_csr()
-            slice_csr = []
-            for lo, hi in slices:
-                mask = (indices >= lo) & (indices < hi)
-                slice_csr.append(
-                    (row_ids[mask], indices[mask] - np.int64(lo), values[mask])
-                )
-            state["slice_csr"] = slice_csr
+            packed = self._ensure_packed()
+            state["slice_matrices"] = [slice_matrix(packed, lo, hi) for lo, hi in slices]
         else:
             slices = _plan_domain_slices(
                 context.domain_size, self._workers, context.config.chunk_size
@@ -777,86 +799,20 @@ class DomainShardedBackend(ShardedBackend):
                 context.chunk_plan(index) for index in range(context.num_queries)
             ]
         state["slices"] = slices
-        return state, slices
-
-    def _start(self) -> None:
-        if self._executor is not None:
-            return
-        state, slices = self._domain_state()
-        key = next(_BACKEND_KEYS)
-        shms: list[shared_memory.SharedMemory] = []
-        try:
-            views = []
-            for lo, hi in slices:
-                shm = shared_memory.SharedMemory(create=True, size=max(8 * (hi - lo), 8))
-                shms.append(shm)
-                views.append(np.ndarray((hi - lo,), dtype=np.float64, buffer=shm.buf))
-            state["histograms"] = views
-            _WORKER_STATES[key] = state
-            use_fork = multiprocessing.get_start_method() == "fork"
-            payload = (
-                None
-                if use_fork
-                else {name: value for name, value in state.items() if name != "histograms"}
-            )
-            mp_context = multiprocessing.get_context("fork" if use_fork else "spawn")
-            telemetry_queue = None
-            telemetry_init = None
-            if self._context.telemetry_enabled():
-                telemetry_queue = create_flush_queue(mp_context)
-                telemetry_init = (True, telemetry_queue)
-            executor = ProcessPoolExecutor(
-                max_workers=self._workers,
-                mp_context=mp_context,
-                initializer=_init_worker,
-                initargs=(
-                    key,
-                    tuple(
-                        (shm.name, hi - lo) for shm, (lo, hi) in zip(shms, slices)
-                    ),
-                    payload,
-                    telemetry_init,
-                ),
-            )
-        except BaseException:
-            # A failure after any segment was created — mid-way through the
-            # per-slice creation loop included — must not leave segments
-            # behind in /dev/shm (or a stale state entry).
-            _WORKER_STATES.pop(key, None)
-            state.pop("histograms", None)
-            views = None  # drop the buffer exports before closing the mappings
-            for shm in shms:
-                try:
-                    shm.close()
-                except (BufferError, OSError):
-                    pass
-                try:
-                    shm.unlink()
-                except OSError:
-                    pass
-            raise
-        self._executor = executor
-        self._shms = shms
-        self._views = views
-        self._slices = slices
-        self._key = key
-        self._num_shards = len(slices)
-        self._finalizer = weakref.finalize(
-            self, _shutdown, executor, shms, key, telemetry_queue
-        )
+        return state, len(slices), slices
 
     def _slice_views(self) -> list[tuple[int, int, np.ndarray]]:
         """The ``(lo, hi, segment view)`` of every owned domain slice."""
         self._start()
         assert self._views is not None
         return [
-            (lo, hi, view) for (lo, hi), view in zip(self._slices, self._views)
+            (lo, hi, view) for (lo, hi), view in zip(self._segments, self._views)
         ]
 
     def slice_plan(self) -> tuple[tuple[int, int], ...]:
         """The contiguous ``[lo, hi)`` domain slices (starts the pool)."""
         self._start()
-        return tuple(self._slices)
+        return tuple(self._segments)
 
     def slice_segment_bytes(self) -> tuple[int, ...]:
         """Allocated bytes of each per-slice segment (starts the pool)."""
@@ -901,14 +857,3 @@ class DomainShardedBackend(ShardedBackend):
                 view[:] = seed.cells(lo, hi, domain_size)
         self._session_open = True
         return DomainHistogramSession(self)
-
-    def close(self) -> None:
-        """Shut down the worker pool and unlink every per-slice segment."""
-        if self._finalizer is not None:
-            self._finalizer()
-            self._finalizer = None
-        self._executor = None
-        self._shms = None
-        self._views = None
-        self._slices = []
-        self._session_open = False

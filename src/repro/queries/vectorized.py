@@ -1,273 +1,79 @@
-"""The vectorised batch-kernel evaluation backend (``mode="vector"``).
+"""The CSR evaluation backend (``mode="sparse"``) and its shared kernels.
 
-Every earlier backend answers a workload by looping over queries (or
-chunks) in interpreted Python.  :class:`VectorizedBackend` instead
-*compiles the whole workload once* into packed batch tensors — the
-concatenated CSR supports plus a bucketed rectangular ``(rows, max_nnz)``
-padding of the per-query index/weight lists — and evaluates all queries
-against the flat histogram in one fused kernel call.  Two interchangeable
-kernel engines share that packed layout:
+:class:`SparseBackend` stores one ``(flat indices, values)`` support per
+query — only the joint-domain cells where the query is non-zero — and
+*compiles the whole workload once* into one packed CSR
+(:class:`PackedWorkload`: the concatenated supports, ``indptr`` /
+``indices`` / ``values``).  ``answers_on_histogram`` is then a single
+``scipy.sparse.csr_matrix`` matvec: one C loop that accumulates each row
+over its entries in index order.  Memory is ``16·Σ_q nnz(q)`` bytes
+instead of the dense backend's ``8·|Q|·|D|``.
 
-``"jax"``
-    A ``jax.jit``-compiled batched gather/einsum per bucket, with the
-    packed tensors resident on the accelerator as jit closure constants
-    and the histogram living device-side across PMW rounds
-    (:class:`JaxHistogramSession` implements the whole
-    :class:`~repro.queries.backends.HistogramSession` op protocol on
-    device arrays, so the delta protocol never round-trips ``|D|`` cells
-    through host memory).  Requires the optional JAX dependency
-    (``pip install .[jax]``).
-``"numpy"``
-    A pure-CPU fallback with no optional hard dependency: when
-    :mod:`scipy` is importable the packed CSR becomes one
-    ``scipy.sparse.csr_matrix`` whose matvec is a single C loop — the
-    same per-row, in-index-order accumulation as the serial sparse
-    backend's ``np.bincount``, so ``answers_on_histogram`` is **bitwise
-    identical** to ``mode="sparse"``; without scipy the padded buckets are
-    evaluated by ``np.einsum`` (1e-9 parity, exact same packed layout).
-    Its PMW session (:class:`IncrementalHistogramSession`) evaluates once
-    and then maintains the answers per support delta through a
-    :class:`ColumnView` — 1e-9 relative, with ``mode="sparse"`` the exact
-    reference.
+PMW sessions (:class:`IncrementalHistogramSession`) evaluate once and then
+maintain the answer vector per support delta through a :class:`ColumnView`
+— the packed entries grouped by domain cell, ``8·nnz + 4·|D|`` bytes — so
+a round costs the selected support's column entries instead of a full
+``Σnnz`` matvec.  Maintained answers agree with a fresh evaluation to 1e-9
+relative (the delta sums reassociate); ``answers_on_histogram`` evaluates
+from scratch.
 
-Padding a ragged support list into one rectangle can explode: a counting
-query touches all ``|D|`` cells while a marginal touches ``|D|/k``, so a
-single ``(|Q|, max_nnz)`` rectangle would cost ``|Q|·|D|`` cells — the
-dense matrix through the back door.  :func:`plan_buckets` therefore
-groups queries by support size (stable sort, a new bucket whenever the
-size grows past ``_BUCKET_GROWTH``× the bucket minimum, at most
-``_BUCKET_CAP`` buckets so the jitted kernel count stays bounded) and
-pads per bucket; the cost model's *rectangularity* probe admits the
-backend only while the padded total stays within ``_WASTE_LIMIT``× the
-exact support total (and within the sparse cell budget).
-
-The packed tensors depend only on the workload, so they are cached on
-the workload object (``workload.private_cache("vectorized")``) and
-shared by every evaluator over it; compiled kernels are cached in the
-same bucket keyed by engine, so the JAX and NumPy engines never collide,
-and so is the sessions' column view.
-:func:`shard_matvec_kernels` exports the fused CSR matvec to the sharded
-backend's workers, which use it for their local row slice when an
-``engine`` is configured (scipy only — JAX state never crosses a fork).
+The packed CSR, the matrix and the column view depend only on the
+workload, so they are cached on the workload object
+(``workload.private_cache("vectorized")``) and shared by every evaluator
+over it.  :func:`shard_matvec_kernels` cuts the same CSR into row shards
+for the sharded backend's workers, whose partial answers are therefore
+bitwise equal to the serial matvec.
 """
 
 from __future__ import annotations
 
-import time
-
 import numpy as np
+from scipy import sparse
 
 from repro.queries.backends import (
     ArrayHistogramSession,
     BackendCost,
+    EvaluationBackend,
     EvaluatorContext,
-    HistogramSeed,
     HistogramSession,
-    SparseBackend,
     register_backend,
 )
 from repro.telemetry import (
     NULL_SPAN as _NULL_SPAN,
-    is_enabled as _telemetry_enabled,
     registry as _telemetry_registry,
     trace as _trace,
 )
 
-#: The engine names ``EvaluatorConfig.engine`` accepts (besides ``None``).
-ENGINES = ("jax", "numpy")
-
-#: Below this many total support entries the vector backend is not worth
-#: auto-choosing on CPU: packing/compilation overhead dominates tiny
-#: workloads, which the plain sparse matvec already answers in microseconds.
-#: (With an accelerator attached the threshold drops to zero — device
-#: dispatch beats the host loop much earlier.)
-_MIN_PACKED_ENTRIES = 32_768
-
-#: Auto-eligibility requires the padded packing to stay within this factor
-#: of the exact support total — the "rectangularity" probe: a workload too
-#: ragged to pack densely is left to the CSR backends.
-_WASTE_LIMIT = 2.0
-
-#: A new padding bucket starts when the next (sorted) support size exceeds
-#: this multiple of the current bucket's minimum, bounding per-row waste.
-_BUCKET_GROWTH = 2.0
-
-#: Hard cap on the number of padding buckets (= jitted kernels per engine).
-_BUCKET_CAP = 16
-
-#: Name of the per-workload cache bucket holding packed tensors + kernels.
+#: Name of the per-workload cache bucket holding the packed CSR and kernels.
 _CACHE_NAME = "vectorized"
-
-_UNSET = object()
-_jax_module = _UNSET
-_scipy_sparse_module = _UNSET
-
-
-def _import_jax():
-    """The :mod:`jax` module with x64 enabled, or ``None`` when unavailable.
-
-    Import failures are cached; tests monkeypatch this function to simulate
-    JAX absence.  x64 is enabled at first import so device arithmetic
-    matches the float64 contract of every other backend.
-    """
-    global _jax_module
-    if _jax_module is _UNSET:
-        try:
-            import jax
-
-            jax.config.update("jax_enable_x64", True)
-            _jax_module = jax
-        except Exception:
-            _jax_module = None
-    return _jax_module
-
-
-def _import_scipy_sparse():
-    """The :mod:`scipy.sparse` module, or ``None`` when unavailable.
-
-    Monkeypatchable for the same reason as :func:`_import_jax`: forcing
-    ``None`` exercises the padded-einsum fallback of the NumPy engine.
-    """
-    global _scipy_sparse_module
-    if _scipy_sparse_module is _UNSET:
-        try:
-            from scipy import sparse
-
-            _scipy_sparse_module = sparse
-        except Exception:
-            _scipy_sparse_module = None
-    return _scipy_sparse_module
-
-
-def jax_available() -> bool:
-    """Whether the JAX engine can run in this process."""
-    return _import_jax() is not None
-
-
-def accelerator_available() -> bool:
-    """Whether JAX sees a non-CPU device (GPU/TPU)."""
-    jax = _import_jax()
-    if jax is None:
-        return False
-    try:
-        return any(device.platform != "cpu" for device in jax.devices())
-    except Exception:
-        return False
-
-
-def resolve_engine(requested: str | None) -> str:
-    """The concrete engine for a requested one (``None`` = auto-detect).
-
-    Auto-detection prefers JAX when importable (jitted kernels and, when an
-    accelerator exists, device residency) and falls back to the NumPy
-    engine otherwise, so ``engine=None`` always works.  An explicit
-    ``"jax"`` raises when JAX is missing instead of silently degrading.
-    """
-    if requested is None:
-        return "jax" if jax_available() else "numpy"
-    if requested not in ENGINES:
-        raise ValueError(
-            f"unknown vector engine {requested!r}; expected one of {ENGINES} or None"
-        )
-    if requested == "jax" and not jax_available():
-        raise ValueError(
-            'engine="jax" requested but JAX is not importable; install the '
-            'optional extra (pip install ".[jax]") or use engine="numpy"'
-        )
-    return requested
-
-
-def plan_buckets(sizes) -> tuple[np.ndarray, tuple[tuple[int, int], ...], int]:
-    """Group query indices into padding buckets by support size.
-
-    Returns ``(order, spans, padded_entries)``: ``order`` is a stable
-    argsort of ``sizes`` and each ``(lo, hi)`` span of ``spans`` names the
-    positions ``order[lo:hi]`` of one bucket, every row of which is padded
-    to the bucket maximum.  A new bucket opens when the next sorted size
-    exceeds ``_BUCKET_GROWTH``× the bucket minimum (bounding per-row
-    waste); adjacent buckets are then merged — cheapest padding increase
-    first — until at most ``_BUCKET_CAP`` remain, bounding the number of
-    compiled kernels.
-    """
-    sizes = np.asarray(sizes, dtype=np.int64)
-    if sizes.ndim != 1 or sizes.size == 0:
-        raise ValueError("plan_buckets needs a non-empty 1-d size array")
-    if np.any(sizes < 0):
-        raise ValueError("support sizes must be non-negative")
-    order = np.argsort(sizes, kind="stable").astype(np.int64)
-    sorted_sizes = sizes[order]
-    bounds = [0]
-    for position in range(1, sizes.size):
-        if sorted_sizes[position] > _BUCKET_GROWTH * max(1, int(sorted_sizes[bounds[-1]])):
-            bounds.append(position)
-    bounds.append(sizes.size)
-
-    def padded(lo: int, hi: int) -> int:
-        # Sorted ascending, so the bucket max is its last element.
-        return (hi - lo) * int(sorted_sizes[hi - 1])
-
-    while len(bounds) - 1 > _BUCKET_CAP:
-        best_cut = 1
-        best_cost = None
-        for cut in range(1, len(bounds) - 1):
-            lo, mid, hi = bounds[cut - 1], bounds[cut], bounds[cut + 1]
-            cost = padded(lo, hi) - padded(lo, mid) - padded(mid, hi)
-            if best_cost is None or cost < best_cost:
-                best_cut, best_cost = cut, cost
-        bounds.pop(best_cut)
-    spans = tuple((bounds[i], bounds[i + 1]) for i in range(len(bounds) - 1))
-    return order, spans, sum(padded(lo, hi) for lo, hi in spans)
 
 
 class PackedWorkload:
-    """A whole workload compiled into packed batch tensors.
+    """A whole workload compiled into one packed CSR.
 
-    Holds the concatenated CSR supports (``indptr``/``indices``/``values``
-    — the exact layout, no padding) plus the bucket plan that turns them
-    into padded rectangles on demand.  Engine-independent and derived only
-    from the workload, so one instance is cached per workload and shared
-    by every evaluator and both kernel engines.
+    Holds the concatenated supports (``indptr``/``indices``/``values``).
+    Derived only from the workload, so one instance is cached per workload
+    and shared by every evaluator over it.
     """
 
     def __init__(self, indptr: np.ndarray, indices: np.ndarray, values: np.ndarray):
         self.indptr = np.asarray(indptr, dtype=np.int64)
         self.indices = np.asarray(indices, dtype=np.int64)
         self.values = np.asarray(values, dtype=np.float64)
-        sizes = np.diff(self.indptr)
-        self.num_queries = int(sizes.size)
+        self.num_queries = int(self.indptr.size - 1)
         self.total_entries = int(self.indptr[-1])
-        self.order, self.bucket_spans, self.padded_entries = plan_buckets(sizes)
-        self.waste_ratio = self.padded_entries / max(1, self.total_entries)
-        self._buckets: list[tuple[np.ndarray, np.ndarray, np.ndarray]] | None = None
 
     def query_slice(self, index: int) -> tuple[np.ndarray, np.ndarray]:
         """Zero-copy ``(indices, values)`` support of one query."""
         lo, hi = int(self.indptr[index]), int(self.indptr[index + 1])
         return self.indices[lo:hi], self.values[lo:hi]
 
-    def buckets(self) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-        """The padded ``(rows, index matrix, weight matrix)`` per bucket.
-
-        Built lazily: the fused CSR matvec path never materialises the
-        padding, so only the einsum engines pay the ``padded_entries``
-        bytes.  Pad positions carry index 0 and weight 0.0, contributing
-        exact zeros to every row sum.
-        """
-        if self._buckets is None:
-            sizes = np.diff(self.indptr)
-            built = []
-            for lo, hi in self.bucket_spans:
-                rows = self.order[lo:hi]
-                width = int(sizes[rows].max()) if hi > lo else 0
-                index_matrix = np.zeros((hi - lo, width), dtype=np.int64)
-                weight_matrix = np.zeros((hi - lo, width), dtype=np.float64)
-                for position, row in enumerate(rows):
-                    row_indices, row_values = self.query_slice(int(row))
-                    index_matrix[position, : row_indices.size] = row_indices
-                    weight_matrix[position, : row_values.size] = row_values
-                built.append((rows, index_matrix, weight_matrix))
-            self._buckets = built
-        return self._buckets
+    def matrix(self, domain_size: int) -> sparse.csr_matrix:
+        """The packed CSR as a ``(|Q|, |D|)`` scipy matrix."""
+        return sparse.csr_matrix(
+            (self.values, self.indices, self.indptr),
+            shape=(self.num_queries, int(domain_size)),
+        )
 
 
 class ColumnView:
@@ -277,8 +83,8 @@ class ColumnView:
     (a stable sort, so each cell's entries stay in query order), ``rows``
     the query row of each listed entry, and ``indptr`` delimits the group
     of every cell.  All three are int32 whenever the sizes fit, so the view
-    costs ``8·nnz + 4·|D|`` bytes.  Engine-independent, so one view is
-    cached per workload next to the packed tensors.
+    costs ``8·nnz + 4·|D|`` bytes.  One view is cached per workload next to
+    the packed CSR.
     """
 
     def __init__(self, packed: PackedWorkload, domain_size: int):
@@ -315,21 +121,20 @@ class ColumnView:
 class IncrementalHistogramSession(ArrayHistogramSession):
     """An array session that keeps the answer vector current across deltas.
 
-    The histogram ops are exactly those of :class:`ArrayHistogramSession`,
-    so the histogram itself is bitwise the one the ``sparse`` backend
-    walks.  Answers are computed once through the fused kernel, then
-    maintained: a support delta adds ``Q[:, cells] @ (h_new - h_old)[cells]``
-    read through the :class:`ColumnView`, and a uniform rescale multiplies
-    the cached vector.  A PMW round therefore costs the selected support's
+    The histogram ops are exactly those of :class:`ArrayHistogramSession`.
+    Answers are computed once through the CSR matvec, then maintained: a
+    support delta adds ``Q[:, cells] @ (h_new - h_old)[cells]`` read
+    through the :class:`ColumnView`, and a uniform rescale multiplies the
+    cached vector.  A PMW round therefore costs the selected support's
     column entries instead of a full ``Σnnz`` matvec.  The maintained
     answers agree with a fresh evaluation to 1e-9 relative, not bitwise
-    (the delta sums reassociate); ``mode="sparse"`` stays the exact
-    reference.  :meth:`fill`, and a delta whose column entries exceed half
-    of ``Σnnz`` (a counting query, say) — where the gather costs more than
-    a full matvec — drop the cache, and the next :meth:`answers` recomputes.
+    (the delta sums reassociate).  :meth:`fill`, and a delta whose column
+    entries exceed half of ``Σnnz`` (a counting query, say) — where the
+    gather costs more than a full matvec — drop the cache, and the next
+    :meth:`answers` recomputes.
     """
 
-    def __init__(self, backend: "VectorizedBackend", array: np.ndarray, columns: ColumnView):
+    def __init__(self, backend: "SparseBackend", array: np.ndarray, columns: ColumnView):
         super().__init__(backend, array)
         self._columns = columns
         self._answers: np.ndarray | None = None
@@ -363,220 +168,29 @@ class IncrementalHistogramSession(ArrayHistogramSession):
         self._answers = None
 
 
-class NumpyKernel:
-    """The CPU engine: one fused batched evaluation per call.
-
-    With scipy the packed CSR becomes a ``csr_matrix`` whose matvec runs
-    the per-row accumulation in the same element order as the serial
-    sparse backend's ``np.bincount`` — answers are bitwise identical to
-    ``mode="sparse"`` (``fused`` is True).  Without scipy the padded
-    buckets are evaluated by ``np.einsum`` over gathered histogram rows
-    (1e-9 parity with sparse; same packed layout, more scratch).
-    """
-
-    engine = "numpy"
-
-    def __init__(self, packed: PackedWorkload, domain_size: int):
-        self._packed = packed
-        self._domain_size = int(domain_size)
-        sparse = _import_scipy_sparse()
-        self._matrix = (
-            sparse.csr_matrix(
-                (packed.values, packed.indices, packed.indptr),
-                shape=(packed.num_queries, self._domain_size),
-            )
-            if sparse is not None
-            else None
-        )
-
-    @property
-    def fused(self) -> bool:
-        """Whether the single-C-loop CSR matvec (bitwise vs sparse) is active."""
-        return self._matrix is not None
-
-    def answers(self, flat: np.ndarray) -> np.ndarray:
-        if self._matrix is not None:
-            return np.asarray(self._matrix @ flat, dtype=np.float64)
-        answers = np.zeros(self._packed.num_queries, dtype=np.float64)
-        for rows, index_matrix, weight_matrix in self._packed.buckets():
-            if index_matrix.shape[1]:
-                answers[rows] = np.einsum(
-                    "qn,qn->q", weight_matrix, flat[index_matrix]
-                )
-        return answers
-
-
-class JaxKernel:
-    """The accelerator engine: one jitted batched evaluation per call.
-
-    The padded buckets are ``device_put`` once and closed over by a single
-    ``jax.jit`` function (per-bucket gather + einsum, results scattered
-    into query order), so repeated calls — every PMW round — ship only the
-    histogram reference, and nothing at all when it already lives on the
-    device (:class:`JaxHistogramSession`).
-    """
-
-    engine = "jax"
-
-    def __init__(self, packed: PackedWorkload, domain_size: int):
-        jax = _import_jax()
-        if jax is None:
-            raise RuntimeError("JaxKernel requires JAX; use resolve_engine() first")
-        import jax.numpy as jnp
-
-        self.jax = jax
-        self.jnp = jnp
-        self._num_queries = packed.num_queries
-        self._domain_size = int(domain_size)
-        device_buckets = [
-            (jax.device_put(jnp.asarray(index_matrix)), jax.device_put(jnp.asarray(weight_matrix)))
-            for _rows, index_matrix, weight_matrix in packed.buckets()
-        ]
-        # Bucket rows concatenate to exactly `order`, so one scatter
-        # restores query order.
-        permutation = jax.device_put(jnp.asarray(packed.order))
-        num_queries = self._num_queries
-
-        @jax.jit
-        def batched_answers(flat):
-            parts = [
-                jnp.einsum("qn,qn->q", weights, flat[indices])
-                if indices.shape[1]
-                else jnp.zeros(indices.shape[0], dtype=flat.dtype)
-                for indices, weights in device_buckets
-            ]
-            return jnp.zeros(num_queries, dtype=flat.dtype).at[permutation].set(
-                jnp.concatenate(parts)
-            )
-
-        self._batched_answers = batched_answers
-        self._first_call_done = False
-
-    def _call(self, flat):
-        """Invoke the jitted kernel, timing the compiling first call.
-
-        JAX traces and compiles on the first invocation; while telemetry
-        records, that one-off cost lands in the
-        ``vector.jax_first_call_seconds`` distribution (blocked until ready
-        so the measurement covers the compile, not just the dispatch).
-        """
-        if self._first_call_done or not _telemetry_enabled():
-            self._first_call_done = True
-            return self._batched_answers(flat)
-        self._first_call_done = True
-        began = time.perf_counter_ns()
-        result = self._batched_answers(flat)
-        try:
-            result.block_until_ready()
-        except AttributeError:
-            pass
-        _telemetry_registry().distribution("vector.jax_first_call_seconds").observe(
-            (time.perf_counter_ns() - began) / 1e9
-        )
-        return result
-
-    def answers_on_device(self, flat):
-        """Answers as a device array, for callers holding a device histogram."""
-        return self._call(flat)
-
-    def answers(self, flat: np.ndarray) -> np.ndarray:
-        return np.asarray(
-            self._call(self.jnp.asarray(flat, dtype=self.jnp.float64)),
-            dtype=np.float64,
-        )
-
-
-class JaxHistogramSession(HistogramSession):
-    """A histogram session resident on the JAX device.
-
-    Every op of the PMW delta protocol maps to a device-side functional
-    update — support rescale via ``at[].multiply``, renormalisation as a
-    scalar multiply, the running accumulator as a device add — so across
-    PMW rounds only scalars and the (tiny) support delta cross the
-    host/device boundary; the ``|D|``-cell histogram never does until
-    :meth:`averaged_slices` assembles the released average.
-    """
-
-    def __init__(self, kernel: JaxKernel, histogram):
-        self._kernel = kernel
-        self._jnp = kernel.jnp
-        self._histogram = histogram
-        self._accumulator = None
-
-    def answers(self) -> np.ndarray:
-        return np.asarray(
-            self._kernel.answers_on_device(self._histogram), dtype=np.float64
-        )
-
-    def scale_support(self, indices: np.ndarray, factors: np.ndarray) -> None:
-        jnp = self._jnp
-        self._histogram = self._histogram.at[
-            jnp.asarray(np.asarray(indices, dtype=np.int64))
-        ].multiply(jnp.asarray(np.asarray(factors, dtype=np.float64)))
-
-    def scale(self, factor: float) -> None:
-        self._histogram = self._histogram * float(factor)
-
-    def fill(self, value: float) -> None:
-        self._histogram = self._jnp.full(
-            self._histogram.shape, float(value), dtype=self._histogram.dtype
-        )
-
-    def total(self) -> float:
-        return float(self._histogram.sum())
-
-    def accumulate(self) -> None:
-        # Device arrays are immutable, so aliasing the first accumulation
-        # is safe: later histogram updates rebind self._histogram.
-        if self._accumulator is None:
-            self._accumulator = self._histogram
-        else:
-            self._accumulator = self._accumulator + self._histogram
-
-    def averaged_slices(self, divisor: float):
-        size = int(self._histogram.shape[0])
-        if self._accumulator is None:
-            yield 0, size, np.zeros(size, dtype=np.float64)
-        else:
-            yield 0, size, np.asarray(self._accumulator, dtype=np.float64) / float(
-                divisor
-            )
-
-    def close(self) -> None:
-        # Drop the device buffers promptly instead of waiting for GC.
-        self._histogram = None
-        self._accumulator = None
-
-
 def shard_matvec_kernels(
-    row_bounds: np.ndarray,
-    offsets: np.ndarray,
-    indices: np.ndarray,
-    values: np.ndarray,
-    domain_size: int,
-) -> tuple[list[tuple[int, int]], list] | None:
-    """Fused CSR matvec kernels for the sharded backend's row shards.
+    row_bounds: np.ndarray, packed: PackedWorkload, domain_size: int
+) -> tuple[list[tuple[int, int]], list[sparse.csr_matrix]]:
+    """CSR matvec kernels for the sharded backend's row shards.
 
-    ``row_bounds`` are the shard boundaries in *query rows* and ``offsets``
-    the per-query entry offsets of the concatenated CSR arrays.  Returns
-    ``(row spans, matrices)`` — one ``scipy.sparse.csr_matrix`` per shard
-    over exactly its rows, whose matvec accumulates each row in the same
-    element order as the ``np.bincount`` path (bitwise-identical partials)
-    — or ``None`` when scipy is unavailable.  Only the scipy kernel is
-    exported to workers: JAX state must never cross a ``fork``.
+    ``row_bounds`` are the shard boundaries in *query rows*.  Returns
+    ``(row spans, matrices)``: one ``csr_matrix`` per shard over exactly
+    its rows, whose matvec accumulates each row in the same element order
+    as the full matrix (bitwise-identical partials).
     """
-    sparse = _import_scipy_sparse()
-    if sparse is None:
-        return None
+    offsets = packed.indptr
     spans: list[tuple[int, int]] = []
     matrices = []
     for shard in range(len(row_bounds) - 1):
         row_lo, row_hi = int(row_bounds[shard]), int(row_bounds[shard + 1])
         entry_lo, entry_hi = int(offsets[row_lo]), int(offsets[row_hi])
-        indptr = (offsets[row_lo : row_hi + 1] - offsets[row_lo]).astype(np.int64)
         matrices.append(
             sparse.csr_matrix(
-                (values[entry_lo:entry_hi], indices[entry_lo:entry_hi], indptr),
+                (
+                    packed.values[entry_lo:entry_hi],
+                    packed.indices[entry_lo:entry_hi],
+                    offsets[row_lo : row_hi + 1] - offsets[row_lo],
+                ),
                 shape=(row_hi - row_lo, int(domain_size)),
             )
         )
@@ -584,106 +198,89 @@ def shard_matvec_kernels(
     return spans, matrices
 
 
+def slice_matrix(packed: PackedWorkload, lo: int, hi: int) -> sparse.csr_matrix:
+    """The ``(|Q|, hi - lo)`` CSR of the entries in domain slice ``[lo, hi)``.
+
+    Column indices are re-indexed slice-locally; each row keeps its
+    entries in their packed order.
+    """
+    inside = (packed.indices >= lo) & (packed.indices < hi)
+    # Entries of the slice before each row start: the slice's row pointers.
+    before = np.concatenate(([0], np.cumsum(inside)))
+    return sparse.csr_matrix(
+        (packed.values[inside], packed.indices[inside] - np.int64(lo), before[packed.indptr]),
+        shape=(packed.num_queries, hi - lo),
+    )
+
+
 @register_backend
-class VectorizedBackend(SparseBackend):
-    """Whole-workload batch evaluation through one fused kernel call.
+class SparseBackend(EvaluationBackend):
+    """One CSR support per query; answers are one packed CSR matvec.
 
-    Extends the sparse backend (same supports, same CSR layout — so
-    ``query_support`` and sessions inherit its contracts) but answers the
-    workload through a compiled :class:`NumpyKernel` or :class:`JaxKernel`
-    over the cached :class:`PackedWorkload`.  Auto-eligible between the
-    sharded and sparse ranks when the workload is large enough to
-    amortise packing and rectangular enough to pad cheaply; the engine
-    comes from ``EvaluatorConfig.engine`` (``None`` = JAX when importable,
-    NumPy otherwise).
-
-    With the NumPy engine, :meth:`answers_on_histogram` stays bitwise equal
-    to ``sparse``, while sessions answer incrementally at 1e-9 relative
-    (``sparse`` is the exact reference).  The sessions' :class:`ColumnView`
-    costs ``8·nnz + 4·|D|`` bytes per workload; in exchange this backend
-    never builds ``sparse``'s int64 per-entry row ids (``8·nnz`` bytes).
+    The supports are compiled into a :class:`PackedWorkload` cached on the
+    workload; sessions are :class:`IncrementalHistogramSession` over the
+    cached :class:`ColumnView`.
     """
 
-    name = "vector"
-    #: Faster than the serial CSR matvec (one fused call beats the
-    #: interpreted bincount pipeline) but behind the multi-process shards.
-    speed_rank = 15
+    name = "sparse"
+    speed_rank = 20
     caches_all_supports = True
 
     def __init__(self, context: EvaluatorContext):
         super().__init__(context)
-        # Resolve eagerly: an explicit-but-impossible engine ("jax" without
-        # JAX) or an unknown name fails at construction, not mid-release.
-        self._engine = resolve_engine(context.config.engine)
         self._packed: PackedWorkload | None = None
-        self._kernel: NumpyKernel | JaxKernel | None = None
+        self._matrix: sparse.csr_matrix | None = None
         self._columns: ColumnView | None = None
-
-    @property
-    def engine(self) -> str:
-        """The resolved kernel engine (``"jax"`` or ``"numpy"``)."""
-        return self._engine
 
     # -- cost model -------------------------------------------------------
     @classmethod
-    def estimate_cost(cls, context: EvaluatorContext) -> BackendCost:
-        if not context.supports_fit_budget():
-            return BackendCost(
-                backend=cls.name,
-                eligible=False,
-                speed_rank=cls.speed_rank,
-                memory_bytes=0,
-                reason="total support exceeds sparse cell budget "
-                f"{context.config.sparse_cell_budget}; nothing to pack",
-            )
-        total = context.total_support_size()
-        threshold = 0 if accelerator_available() else _MIN_PACKED_ENTRIES
-        if total < threshold:
-            return BackendCost(
-                backend=cls.name,
-                eligible=False,
-                speed_rank=cls.speed_rank,
-                memory_bytes=16 * total,
-                reason=f"total support {total} is below the packing threshold "
-                f"({threshold} entries); kernel dispatch overhead would dominate",
-            )
-        sizes = [context.support_size(index) for index in range(context.num_queries)]
-        _order, _spans, padded = plan_buckets(sizes)
-        memory = 16 * total + 16 * padded
-        if padded > context.config.sparse_cell_budget:
-            return BackendCost(
-                backend=cls.name,
-                eligible=False,
-                speed_rank=cls.speed_rank,
-                memory_bytes=memory,
-                reason=f"padded packing ({padded} cells) exceeds sparse cell "
-                f"budget {context.config.sparse_cell_budget}",
-            )
-        if padded > _WASTE_LIMIT * total:
-            return BackendCost(
-                backend=cls.name,
-                eligible=False,
-                speed_rank=cls.speed_rank,
-                memory_bytes=memory,
-                reason=f"padding waste ratio {padded / max(1, total):.2f} exceeds "
-                f"{_WASTE_LIMIT} (workload too ragged to pack rectangularly)",
-            )
-        return BackendCost(
-            backend=cls.name,
-            eligible=True,
-            speed_rank=cls.speed_rank,
-            memory_bytes=memory,
-        )
+    def is_eligible(cls, context: EvaluatorContext) -> bool:
+        return context.supports_fit_budget()
 
     @classmethod
-    def is_eligible(cls, context: EvaluatorContext) -> bool:
-        # One shared probe: the auto choice and the cost report must never
-        # disagree on eligibility.
-        return cls.estimate_cost(context).eligible
+    def estimate_cost(cls, context: EvaluatorContext) -> BackendCost:
+        total = context.total_support_size()
+        eligible = total <= context.config.sparse_cell_budget
+        return BackendCost(
+            backend=cls.name,
+            eligible=eligible,
+            speed_rank=cls.speed_rank,
+            memory_bytes=16 * total,
+            reason=""
+            if eligible
+            else f"total support {total} exceeds sparse cell budget "
+            f"{context.config.sparse_cell_budget}",
+        )
 
     # -- packed representation --------------------------------------------
+    def _concatenated_supports(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Concatenated ``(indptr, indices, values)`` of all query supports.
+
+        Re-points the per-query cache at zero-copy slices of the
+        concatenated arrays, so both representations share storage.
+        """
+        supports = [
+            self.query_support(index) for index in range(self._context.num_queries)
+        ]
+        counts = np.array([indices.size for indices, _ in supports], dtype=np.int64)
+        indices = (
+            np.concatenate([s[0] for s in supports])
+            if supports
+            else np.empty(0, dtype=np.int64)
+        )
+        values = (
+            np.concatenate([s[1] for s in supports])
+            if supports
+            else np.empty(0, dtype=np.float64)
+        )
+        indptr = np.concatenate(([0], np.cumsum(counts))).astype(np.int64)
+        for index in range(len(supports)):
+            lo, hi = int(indptr[index]), int(indptr[index + 1])
+            self._supports[index] = (indices[lo:hi], values[lo:hi])
+        return indptr, indices, values
+
     def _point_supports_at(self, packed: PackedWorkload) -> None:
-        """Serve supports zero-copy from the cached packed tensors."""
+        """Serve supports zero-copy from the cached packed CSR."""
         counts = np.diff(packed.indptr)
         for index in range(packed.num_queries):
             self._supports[index] = packed.query_slice(index)
@@ -691,8 +288,6 @@ class VectorizedBackend(SparseBackend):
         self._cached_support_entries = packed.total_entries
 
     def _ensure_packed(self) -> PackedWorkload:
-        # The packed CSR replaces the sparse backend's (row ids, indices,
-        # values) triplet: no per-entry row-id array is ever built here.
         if self._packed is None:
             recording = self._context.telemetry_enabled()
             cache = self._context.workload.private_cache(_CACHE_NAME)
@@ -703,7 +298,7 @@ class VectorizedBackend(SparseBackend):
                         "workload.cache", bucket=_CACHE_NAME, event="miss"
                     ).add()
                 span_ctx = (
-                    _trace("vector.pack", queries=self._context.num_queries)
+                    _trace("sparse.pack", queries=self._context.num_queries)
                     if recording
                     else _NULL_SPAN
                 )
@@ -718,11 +313,9 @@ class VectorizedBackend(SparseBackend):
                 self._point_supports_at(packed)
             self._packed = packed
             if recording:
-                registry = _telemetry_registry()
-                registry.gauge("vector.packed_entries").set(packed.total_entries)
-                registry.gauge("vector.padded_entries").set(packed.padded_entries)
-                registry.gauge("vector.buckets").set(len(packed.bucket_spans))
-                registry.gauge("vector.waste_ratio").set(packed.waste_ratio)
+                _telemetry_registry().gauge("sparse.packed_entries").set(
+                    packed.total_entries
+                )
         return self._packed
 
     def _cached(self, key, span_name: str, build, **attributes):
@@ -742,69 +335,39 @@ class VectorizedBackend(SparseBackend):
             cache[key] = value
         return value
 
-    def _ensure_kernel(self) -> NumpyKernel | JaxKernel:
-        if self._kernel is None:
+    def _ensure_matrix(self) -> sparse.csr_matrix:
+        if self._matrix is None:
             packed = self._ensure_packed()
-            kernel_cls = JaxKernel if self._engine == "jax" else NumpyKernel
-            self._kernel = self._cached(
-                ("kernel", self._engine),
-                "vector.kernel_build",
-                lambda: kernel_cls(packed, self._context.domain_size),
-                engine=self._engine,
+            self._matrix = self._cached(
+                "matrix",
+                "sparse.matrix_build",
+                lambda: packed.matrix(self._context.domain_size),
             )
-        return self._kernel
+        return self._matrix
 
     def _ensure_columns(self) -> ColumnView:
         if self._columns is None:
             packed = self._ensure_packed()
             self._columns = self._cached(
                 "columns",
-                "vector.columns_build",
+                "sparse.columns_build",
                 lambda: ColumnView(packed, self._context.domain_size),
                 entries=packed.total_entries,
             )
         return self._columns
 
     def packed_workload(self) -> PackedWorkload:
-        """The compiled packed tensors (building them on first use)."""
+        """The compiled packed CSR (building it on first use)."""
         return self._ensure_packed()
 
     # -- evaluation -------------------------------------------------------
     def answers_on_histogram(self, flat: np.ndarray) -> np.ndarray:
-        return self._ensure_kernel().answers(flat)
+        return np.asarray(self._ensure_matrix() @ flat, dtype=np.float64)
 
     def session(self, initial: np.ndarray) -> HistogramSession:
-        if self._engine != "jax":
-            # The NumPy engine keeps the histogram host-side and maintains
-            # its answers incrementally between full kernel evaluations.
-            return IncrementalHistogramSession(
-                self, np.array(initial, dtype=np.float64), self._ensure_columns()
-            )
-        return self.seeded_session(
-            HistogramSeed.from_array(self._context.validated_flat(initial))
+        return IncrementalHistogramSession(
+            self, np.array(initial, dtype=np.float64), self._ensure_columns()
         )
 
-    def seeded_session(self, seed: HistogramSeed) -> HistogramSession:
-        if self._engine != "jax":
-            return super().seeded_session(seed)
-        kernel = self._ensure_kernel()
-        jnp = kernel.jnp
-        domain_size = self._context.domain_size
-        if seed.is_uniform:
-            # Seed directly on the device: no |D|-cell host allocation.
-            histogram = jnp.full(
-                (domain_size,), seed.cell_value(domain_size), dtype=jnp.float64
-            )
-        elif seed.array is not None:
-            histogram = jnp.asarray(
-                self._context.validated_flat(seed.array), dtype=jnp.float64
-            )
-        else:
-            histogram = jnp.asarray(seed.materialize(domain_size), dtype=jnp.float64)
-        return JaxHistogramSession(kernel, histogram)
-
     def estimated_memory(self) -> int:
-        packed = self._ensure_packed()
-        # The exact CSR plus the padded buckets — the einsum engines' upper
-        # bound; the fused CSR path never materialises the padding.
-        return 16 * packed.total_entries + 16 * packed.padded_entries
+        return 16 * self._context.total_support_size()

@@ -3,13 +3,11 @@
 PMW's selection path (exponential mechanism + Laplace measurement) consumes
 randomness from a seeded generator, so with a fixed seed the *selected query
 sequence* and the *noisy total* must be bitwise identical no matter which of
-the seven evaluation backends answers the workload — dense, sparse, streaming,
-prefetch, sharded (csr and chunked), domain-partitioned at any worker count,
-or the vectorised batch kernels under either engine.  The
-released histograms agree to 1e-9 relative rather than bitwise: multi-shard
-and multi-slice backends reassociate floating-point partial sums, which is
-the one deviation the domain-partitioning design explicitly trades for its
-per-slice memory bound.
+the six evaluation backends answers the workload — dense, sparse, streaming,
+prefetch, sharded (csr and chunked), or domain-partitioned at any worker
+count.  The released histograms agree to 1e-9 relative rather than bitwise:
+multi-shard and multi-slice backends reassociate floating-point partial
+sums, and the sparse session maintains its answers per support delta.
 """
 
 import numpy as np
@@ -24,10 +22,7 @@ from repro.relational.instance import Instance
 #: (backend name, evaluator kwargs) — the full matrix of evaluation paths.
 #: The sharded/domain entries with ``sparse_cell_budget=1`` force the
 #: chunked representation (CSR no longer fits the budget), so both
-#: representations of both multi-process strategies are covered.  The
-#: ``vector`` entries cover both kernel engines: the default resolves to
-#: JAX when importable and NumPy otherwise, so with JAX installed the pair
-#: exercises both, and without it the NumPy engine is pinned explicitly.
+#: representations of both multi-process strategies are covered.
 BACKEND_MATRIX = [
     ("dense", {}),
     ("sparse", {}),
@@ -39,8 +34,6 @@ BACKEND_MATRIX = [
     ("domain", {"workers": 2}),
     ("domain", {"workers": 3}),
     ("domain", {"workers": 2, "sparse_cell_budget": 1, "chunk_size": 32}),
-    ("vector", {}),
-    ("vector", {"engine": "numpy"}),
 ]
 
 

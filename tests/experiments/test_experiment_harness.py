@@ -37,7 +37,7 @@ from repro.experiments import (
 class TestRegistry:
     def test_all_experiments_registered_and_described(self):
         assert set(EXPERIMENTS) == set(DESCRIPTIONS)
-        assert len(EXPERIMENTS) == 20
+        assert len(EXPERIMENTS) == 19
         for name, runner in EXPERIMENTS.items():
             assert callable(runner), name
 

@@ -9,7 +9,6 @@ from repro.mechanisms.exponential import (
     exponential_mechanism,
     exponential_mechanism_probabilities,
 )
-from repro.mechanisms.gaussian import gaussian_mechanism, gaussian_sigma
 from repro.mechanisms.laplace import laplace_mechanism, sample_laplace
 from repro.mechanisms.rng import resolve_rng, spawn_rngs
 from repro.mechanisms.truncated_laplace import (
@@ -158,24 +157,3 @@ class TestExponentialMechanism:
             exponential_mechanism_probabilities(np.array([1.0]), 1.0, 0.0)
         with pytest.raises(ValueError):
             exponential_mechanism_probabilities(np.array([]), 1.0)
-
-
-class TestGaussian:
-    def test_sigma_formula(self):
-        assert gaussian_sigma(2.0, 1.0, 1e-5) == pytest.approx(
-            2.0 * math.sqrt(2.0 * math.log(1.25e5))
-        )
-
-    def test_mechanism_shapes(self, rng):
-        scalar = gaussian_mechanism(1.0, 1.0, 1.0, 1e-5, rng=rng)
-        assert isinstance(scalar, float)
-        vector = gaussian_mechanism(np.zeros(10), 1.0, 1.0, 1e-5, rng=rng)
-        assert vector.shape == (10,)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            gaussian_sigma(1.0, 0.0, 1e-5)
-        with pytest.raises(ValueError):
-            gaussian_sigma(1.0, 1.0, 0.0)
-        with pytest.raises(ValueError):
-            gaussian_sigma(-1.0, 1.0, 1e-5)

@@ -22,12 +22,12 @@ from repro.queries.backends import (
     EvaluatorConfig,
     EvaluatorContext,
     HistogramSeed,
-    SparseBackend,
     iter_decoded_chunks,
     register_backend,
     unregister_backend,
 )
 from repro.queries.sharded import ShardedBackend
+from repro.queries.vectorized import SparseBackend
 from repro.queries.evaluation import (
     WorkloadEvaluator,
     auto_evaluator_mode,
@@ -48,7 +48,6 @@ _BUILTIN_BACKENDS = {
     "streaming",
     "prefetch",
     "domain",
-    "vector",
 }
 
 

@@ -11,14 +11,14 @@ import numpy as np
 import pytest
 
 import repro.queries.backends as backends
+from repro.experiments.e15_evaluator_scaling import _marginal_workload
 from repro.queries.evaluation import (
-    SparseWorkloadEvaluator,
     WorkloadEvaluator,
     auto_evaluator_mode,
     shared_evaluator,
 )
 from repro.queries.workload import Workload
-from repro.relational.hypergraph import two_table_query
+from repro.relational.hypergraph import single_table_query, two_table_query
 from repro.relational.instance import Instance
 from repro.relational.join import join_result
 
@@ -142,15 +142,32 @@ class TestModeSelection:
         evaluator = WorkloadEvaluator(workload, cell_budget=10, sparse_cell_budget=10)
         assert evaluator.mode == fallback_mode
 
-    def test_materialize_flags_keep_legacy_meaning(self, workload):
-        assert WorkloadEvaluator(workload, materialize=True).mode == "dense"
-        forbidden = WorkloadEvaluator(workload, materialize=False)
-        assert forbidden.mode in ("sparse", "streaming")
-        assert not forbidden.has_matrix
-
     def test_sparse_evaluator_never_dense(self, workload, fallback_mode):
-        assert SparseWorkloadEvaluator(workload).mode == "sparse"
-        assert SparseWorkloadEvaluator(workload, sparse_cell_budget=10).mode == fallback_mode
+        never_dense = WorkloadEvaluator(workload, mode="auto", cell_budget=0)
+        assert never_dense.mode == "sparse"
+        assert not never_dense.has_matrix
+        assert (
+            WorkloadEvaluator(
+                workload, mode="auto", cell_budget=0, sparse_cell_budget=10
+            ).mode
+            == fallback_mode
+        )
+
+    def test_auto_picks_sparse_at_e15_scale(self):
+        # |Q| = 321 one-hot marginals over |D| = 2^20: the dense matrix is
+        # priced out, and the measured supports (4.2M entries) fit the
+        # sparse budget.
+        workload = _marginal_workload(two_table_query(128, 64, 128))
+        assert len(workload) == 321
+        assert workload.join_query.joint_domain_size == 2**20
+        assert auto_evaluator_mode(workload) == "sparse"
+
+    def test_auto_keeps_dense_for_prefix_ranges(self):
+        query = single_table_query({"X": 128, "Y": 128})
+        workload = Workload.attribute_ranges(query, "X").extended(
+            Workload.attribute_ranges(query, "Y", include_counting=False).queries
+        )
+        assert auto_evaluator_mode(workload) == "dense"
 
     def test_auto_evaluator_mode_matches_constructor_choice(self, workload, fallback_mode):
         assert auto_evaluator_mode(workload) == WorkloadEvaluator(workload).mode

@@ -1,11 +1,11 @@
-"""The ``vector`` NumPy-engine session keeps its answers current incrementally.
+"""The ``sparse`` session keeps its answers current incrementally.
 
-Oracle: the exact ``sparse`` backend.  Each run drives one incremental
-session through hundreds of random histogram ops (support rescales on
-sorted supports, uniform rescales, fills, totals) and mirrors every op on a
-plain reference array.  After each op the session's histogram must equal
-the reference bitwise, and its maintained answers must agree with a fresh
-``sparse`` evaluation of the reference to 1e-9 relative.  The workloads
+Oracle: the bincount matvec of ``test_csr_oracle``.  Each run drives one
+incremental session through hundreds of random histogram ops (support
+rescales on sorted supports, uniform rescales, fills, totals) and mirrors
+every op on a plain reference array.  After each op the session's histogram
+must equal the reference bitwise, and its maintained answers must agree
+with a fresh oracle evaluation of the reference to 1e-9 relative.  The workloads
 include the all-ones counting query (a delta over it is costlier than a
 full recompute, so the session drops its cache) and negative weights.
 """
@@ -20,6 +20,7 @@ from repro.queries.evaluation import WorkloadEvaluator
 from repro.queries.linear import ProductQuery, TableQuery
 from repro.queries.workload import Workload
 from repro.relational.hypergraph import two_table_query
+from tests.queries.test_csr_oracle import oracle_answers
 
 OPS = 500
 RTOL = 1e-9
@@ -61,12 +62,11 @@ def test_random_ops_track_the_sparse_oracle(seed, delta_calls):
     workload = _random_workload(seed)
     rng = np.random.default_rng(100 + seed)
     domain_size = workload.join_query.joint_domain_size
-    sparse = WorkloadEvaluator(workload, mode="sparse")
-    vector = WorkloadEvaluator(workload, mode="vector", engine="numpy")
-    supports = [sparse.query_support(index)[0] for index in range(len(workload))]
+    evaluator = WorkloadEvaluator(workload, mode="sparse")
+    supports = [evaluator.query_support(index)[0] for index in range(len(workload))]
     assert supports[0].size == domain_size  # the counting query
     reference = rng.uniform(0.5, 2.0, domain_size)
-    session = vector.histogram_session(reference)
+    session = evaluator.histogram_session(reference)
     kinds = []
     try:
         for _ in range(OPS):
@@ -95,7 +95,7 @@ def test_random_ops_track_the_sparse_oracle(seed, delta_calls):
                 assert session.total() == float(reference.sum())
             # The session's private array: this test checks the storage itself.
             assert np.array_equal(session._array, reference)
-            expected = sparse.answers_on_histogram(reference)
+            expected = oracle_answers(evaluator, reference)
             scale = max(1.0, float(np.abs(expected).max()))
             assert np.max(np.abs(session.answers() - expected)) <= RTOL * scale
     finally:
@@ -103,7 +103,7 @@ def test_random_ops_track_the_sparse_oracle(seed, delta_calls):
     # Both delta paths ran: incremental deltas, and the counting query's
     # full-domain delta, which drops the cache instead of gathering.
     assert len(delta_calls) > OPS // 4
-    total_entries = vector.backend.packed_workload().total_entries
+    total_entries = evaluator.backend.packed_workload().total_entries
     assert all(2 * entries <= total_entries for entries in delta_calls)
     assert "fill" in kinds
 
@@ -112,23 +112,22 @@ def test_delta_before_first_answers_recomputes_exactly():
     workload = _random_workload(3)
     rng = np.random.default_rng(7)
     flat = rng.random(workload.join_query.joint_domain_size)
-    sparse = WorkloadEvaluator(workload, mode="sparse")
-    vector = WorkloadEvaluator(workload, mode="vector", engine="numpy")
-    session = vector.histogram_session(flat)
+    evaluator = WorkloadEvaluator(workload, mode="sparse")
+    session = evaluator.histogram_session(flat)
     try:
         cells = np.array([1, 4, 9], dtype=np.int64)
         session.scale_support(cells, np.full(3, 0.5))
         flat[cells] *= 0.5
-        # No answers were cached yet, so this is one full kernel evaluation.
-        assert np.array_equal(session.answers(), sparse.answers_on_histogram(flat))
+        # No answers were cached yet, so this is one full matvec: bitwise.
+        assert np.array_equal(session.answers(), oracle_answers(evaluator, flat))
     finally:
         session.close()
 
 
 def test_column_view_is_built_once_per_workload():
     workload = _random_workload(4)
-    first = WorkloadEvaluator(workload, mode="vector", engine="numpy")
-    second = WorkloadEvaluator(workload, mode="vector", engine="numpy")
+    first = WorkloadEvaluator(workload, mode="sparse")
+    second = WorkloadEvaluator(workload, mode="sparse")
     flat = np.ones(workload.join_query.joint_domain_size)
     for evaluator in (first, second):
         evaluator.histogram_session(flat).close()

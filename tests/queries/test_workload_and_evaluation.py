@@ -6,9 +6,8 @@ import pytest
 from repro.queries.evaluation import (
     ErrorReport,
     WorkloadEvaluator,
-    evaluate_workload_on_histogram,
-    evaluate_workload_on_instance,
     max_error,
+    shared_evaluator,
 )
 from repro.queries.linear import TableQuery
 from repro.queries.workload import Workload
@@ -53,7 +52,7 @@ class TestWorkloadGenerators:
     def test_attribute_marginals(self, query, instance):
         workload = Workload.attribute_marginals(query, "B", include_counting=False)
         assert len(workload) == 4
-        answers = evaluate_workload_on_instance(workload, instance)
+        answers = shared_evaluator(workload).answers_on_instance(instance)
         # Marginals of the join over B sum to the join size.
         assert answers.sum() == pytest.approx(join_size(instance))
 
@@ -63,7 +62,7 @@ class TestWorkloadGenerators:
 
     def test_attribute_ranges_are_nested(self, query, instance):
         workload = Workload.attribute_ranges(query, "B", include_counting=False)
-        answers = evaluate_workload_on_instance(workload, instance)
+        answers = shared_evaluator(workload).answers_on_instance(instance)
         assert np.all(np.diff(answers) >= -1e-9)  # prefixes are monotone
         assert answers[-1] == pytest.approx(join_size(instance))
 
@@ -116,8 +115,8 @@ class TestWorkloadGenerators:
 class TestEvaluator:
     def test_matrix_and_loop_agree(self, query, instance):
         workload = Workload.random_sign(query, 8, seed=4)
-        with_matrix = WorkloadEvaluator(workload, materialize=True)
-        without_matrix = WorkloadEvaluator(workload, materialize=False)
+        with_matrix = WorkloadEvaluator(workload, mode="dense")
+        without_matrix = WorkloadEvaluator(workload, mode="auto", cell_budget=0)
         assert with_matrix.has_matrix
         assert not without_matrix.has_matrix
         histogram = join_result(instance).astype(float)
@@ -161,10 +160,10 @@ class TestEvaluator:
             join_size(instance)
         )
 
-    def test_evaluate_workload_on_histogram_helper(self, query, instance):
+    def test_shared_evaluator_histogram_answers(self, query, instance):
         workload = Workload.counting(query)
         histogram = join_result(instance).astype(float)
-        values = evaluate_workload_on_histogram(workload, histogram)
+        values = shared_evaluator(workload).answers_on_histogram(histogram)
         assert values[0] == pytest.approx(join_size(instance))
 
 
