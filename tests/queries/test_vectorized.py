@@ -8,13 +8,15 @@ in ``test_csr_oracle``; the incremental session in
 from __future__ import annotations
 
 import numpy as np
+import pytest
 
 import repro.queries.vectorized as vectorized
-from repro.queries.backends import EvaluatorConfig, EvaluatorContext
+from repro.queries.backends import EvaluatorConfig, EvaluatorContext, registered_backends
 from repro.queries.evaluation import WorkloadEvaluator, shared_evaluator
-from repro.queries.vectorized import PackedWorkload, SparseBackend
+from repro.queries.vectorized import ColumnView, PackedWorkload, SparseBackend
 from repro.queries.workload import Workload
 from repro.relational.hypergraph import two_table_query
+from tests.queries.test_csr_oracle import _workload as oracle_workload
 from tests.queries.test_csr_oracle import oracle_answers
 
 
@@ -54,6 +56,61 @@ class TestPackedWorkload:
             assert np.array_equal(got_values, values[lo:hi])
             assert got_indices.base is packed.indices  # views, not copies
 
+    def test_matrix_rows_are_the_query_supports(self):
+        workload = _mixed_workload()
+        evaluator = WorkloadEvaluator(workload, mode="sparse")
+        dense = WorkloadEvaluator(workload, mode="dense")
+        matrix = evaluator.backend.packed_workload().matrix(evaluator.domain_size)
+        assert matrix.shape == (len(workload), evaluator.domain_size)
+        rows = matrix.toarray()
+        for index in range(len(workload)):
+            expected = np.zeros(evaluator.domain_size)
+            indices, values = dense.query_support(index)
+            expected[indices] = values
+            assert np.array_equal(rows[index], expected), index
+
+    def test_empty_support_packs_to_an_empty_row(self):
+        workload = oracle_workload("mixed")
+        evaluator = WorkloadEvaluator(workload, mode="sparse")
+        packed = evaluator.backend.packed_workload()
+        empty = [i for i in range(packed.num_queries) if packed.query_slice(i)[0].size == 0]
+        assert len(empty) == 1
+        assert packed.indptr[empty[0]] == packed.indptr[empty[0] + 1]
+        flat = np.random.default_rng(2).random(evaluator.domain_size)
+        assert evaluator.answers_on_histogram(flat)[empty[0]] == 0.0
+
+
+class TestColumnView:
+    def _view(self):
+        evaluator = WorkloadEvaluator(_mixed_workload(), mode="sparse")
+        packed = evaluator.backend.packed_workload()
+        return packed, ColumnView(packed, evaluator.domain_size), evaluator.domain_size
+
+    def test_cells_list_their_entries_in_query_order(self):
+        packed, view, domain_size = self._view()
+        rows = packed.matrix(domain_size).toarray()
+        for cell in range(domain_size):
+            lo, hi = int(view.indptr[cell]), int(view.indptr[cell + 1])
+            listed = view.rows[lo:hi]
+            assert np.array_equal(listed, np.flatnonzero(rows[:, cell])), cell
+            assert np.array_equal(packed.indices[view.order[lo:hi]], np.full(hi - lo, cell))
+
+    def test_int32_view_costs_8nnz_plus_4d_bytes(self):
+        packed, view, domain_size = self._view()
+        assert view.indptr.dtype == view.order.dtype == view.rows.dtype == np.int32
+        nbytes = view.indptr.nbytes + view.order.nbytes + view.rows.nbytes
+        assert nbytes == 8 * packed.total_entries + 4 * (domain_size + 1)
+
+    def test_matvec_is_the_column_block_product(self):
+        packed, view, domain_size = self._view()
+        rng = np.random.default_rng(4)
+        cells = np.sort(rng.choice(domain_size, size=17, replace=False))
+        deltas = rng.uniform(-1.0, 1.0, cells.size)
+        starts, counts = view.spans(cells)
+        expected = packed.matrix(domain_size).toarray()[:, cells] @ deltas
+        got = view.matvec(starts, counts, deltas)
+        assert np.allclose(got, expected, rtol=1e-12, atol=1e-12)
+
 
 class TestSparseSession:
     def test_histogram_session_routes_through_the_matvec(self):
@@ -75,6 +132,41 @@ class TestSparseSession:
             reference = oracle_answers(evaluator, expected)
             scale = max(1.0, float(np.abs(reference).max()))
             assert np.max(np.abs(session.answers() - reference)) <= 1e-9 * scale
+        finally:
+            session.close()
+
+    def _session(self, flat):
+        # random_sign's first query is the all-ones counting query.
+        workload = Workload.random_sign(two_table_query(5, 4, 6), 4, seed=3)
+        evaluator = WorkloadEvaluator(workload, mode="sparse")
+        return evaluator, evaluator.histogram_session(flat)
+
+    def test_fill_recomputes_the_answers_bitwise(self):
+        flat = np.random.default_rng(6).random(5 * 4 * 6)
+        evaluator, session = self._session(flat)
+        try:
+            session.answers()
+            session.scale_support(np.array([1, 2], dtype=np.int64), np.full(2, 3.0))
+            session.fill(0.25)
+            expected = np.full(flat.size, 0.25)
+            assert np.array_equal(session.answers(), oracle_answers(evaluator, expected))
+        finally:
+            session.close()
+
+    def test_wide_delta_recomputes_the_answers_bitwise(self):
+        flat = np.random.default_rng(7).random(5 * 4 * 6)
+        evaluator, session = self._session(flat)
+        try:
+            counting = evaluator.query_support(0)[0]
+            assert counting.size == flat.size
+            session.answers()
+            factors = np.random.default_rng(8).uniform(0.5, 1.5, counting.size)
+            # A delta over every cell costs more than a matvec: the session
+            # drops its answers and the next call evaluates from scratch.
+            session.scale_support(counting, factors)
+            expected = flat.copy()
+            expected[counting] *= factors
+            assert np.array_equal(session.answers(), oracle_answers(evaluator, expected))
         finally:
             session.close()
 
@@ -129,6 +221,12 @@ class TestWorkloadCache:
         assert default.mode == "sparse"
         # Distinct backends never collide in the cache.
         assert default is not shared_evaluator(workload, backend="dense")
+
+    def test_sparse_is_the_only_csr_mode(self):
+        assert "sparse" in registered_backends()
+        assert "vector" not in registered_backends()
+        with pytest.raises(ValueError, match="unknown evaluator backend 'vector'"):
+            WorkloadEvaluator(_mixed_workload(), mode="vector")
 
 
 class TestShardKernels:
