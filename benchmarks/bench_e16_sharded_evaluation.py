@@ -3,8 +3,8 @@
 Runs the E15-scale marginal workload through the serial sparse backend and
 the sharded multiprocessing backend and asserts the backend-parity contract:
 answers match the serial sparse path to 1e-9 (row-sharding actually keeps
-them bitwise identical per query), PMW walks bitwise-identical query
-selections under a fixed seed, and the released histograms agree to 1e-9.  The ≥ 1.5× wall-clock speedup is asserted
+them bitwise identical per query) and PMW walks bitwise-identical query
+selections under a fixed seed.  The ≥ 1.5× wall-clock speedup is asserted
 only when the host exposes at least 4 cores — a single-core CI runner can
 verify correctness but not parallel speedup; the measured speedup is always
 recorded in the result (and in ``BENCH_e16_sharded_evaluation.json`` via
@@ -31,7 +31,7 @@ def test_e16_sharded_evaluation(benchmark):
     print()
     print(result["table"])
     # The sharded backend must agree with the serial sparse reference to
-    # 1e-9 (relative) and reproduce PMW selections bit for bit.
+    # 1e-9 (relative) and reproduce PMW bit for bit.
     assert result["answers_match"], result["max_abs_diff"]
     assert result["selections_match"]
     assert result["histograms_match"]

@@ -81,7 +81,6 @@ from multiprocessing import shared_memory
 import numpy as np
 
 from repro.queries.backends import (
-    ArrayHistogramSession,
     BackendCost,
     EvaluatorContext,
     HistogramSeed,
@@ -90,7 +89,12 @@ from repro.queries.backends import (
     register_backend,
     streaming_scratch_bytes,
 )
-from repro.queries.vectorized import SparseBackend, shard_matvec_kernels, slice_matrix
+from repro.queries.vectorized import (
+    IncrementalHistogramSession,
+    SparseBackend,
+    shard_matvec_kernels,
+    slice_matrix,
+)
 from repro.telemetry import (
     is_enabled as _telemetry_enabled,
     registry as _telemetry_registry,
@@ -279,19 +283,25 @@ def _shutdown(
             pass
 
 
-class ShardedHistogramSession(ArrayHistogramSession):
+class ShardedHistogramSession(IncrementalHistogramSession):
     """A histogram session living directly in the shared-memory block.
 
     The backing array is a view on the segment every worker maps, so the
     in-place deltas the PMW loop applies (support rescale +
-    renormalisation) reach the workers without any communication;
-    :meth:`answers` only dispatches shard ids.
+    renormalisation) reach the workers without any communication; a fresh
+    evaluation only dispatches shard ids.  Under the ``csr`` strategy the
+    answers are maintained per support delta through the workload's cached
+    :class:`~repro.queries.vectorized.ColumnView`, exactly as the serial
+    ``sparse`` session maintains them — the same arithmetic on bitwise-equal
+    fresh evaluations, so both release bitwise-identical histograms.  The
+    ``chunked`` strategy has no column view and dispatches every time.
     """
 
     def __init__(self, backend: "ShardedBackend"):
-        super().__init__(backend, backend._histogram_view())
+        columns = backend._ensure_columns() if backend.strategy == "csr" else None
+        super().__init__(backend, backend._histogram_view(), columns)
 
-    def answers(self) -> np.ndarray:
+    def _evaluate(self) -> np.ndarray:
         return self._backend._dispatch()
 
     def close(self) -> None:

@@ -131,17 +131,26 @@ class IncrementalHistogramSession(ArrayHistogramSession):
     (the delta sums reassociate).  :meth:`fill`, and a delta whose column
     entries exceed half of ``Σnnz`` (a counting query, say) — where the
     gather costs more than a full matvec — drop the cache, and the next
-    :meth:`answers` recomputes.
+    :meth:`answers` recomputes.  Without a column view (``columns=None``)
+    every :meth:`answers` evaluates afresh.
     """
 
-    def __init__(self, backend: "SparseBackend", array: np.ndarray, columns: ColumnView):
+    def __init__(
+        self, backend: "SparseBackend", array: np.ndarray, columns: ColumnView | None
+    ):
         super().__init__(backend, array)
         self._columns = columns
         self._answers: np.ndarray | None = None
 
+    def _evaluate(self) -> np.ndarray:
+        """A fresh evaluation of the whole session histogram."""
+        return super().answers()
+
     def answers(self) -> np.ndarray:
+        if self._columns is None:
+            return self._evaluate()
         if self._answers is None:
-            self._answers = super().answers()
+            self._answers = self._evaluate()
         return self._answers.copy()
 
     def scale_support(self, indices: np.ndarray, factors: np.ndarray) -> None:

@@ -7,7 +7,8 @@ the six evaluation backends answers the workload — dense, sparse, streaming,
 prefetch, sharded (csr and chunked), or domain-partitioned at any worker
 count.  The released histograms agree to 1e-9 relative rather than bitwise:
 multi-shard and multi-slice backends reassociate floating-point partial
-sums, and the sparse session maintains its answers per support delta.
+sums, and the sparse and csr-sharded sessions maintain their answers per
+support delta.
 """
 
 import numpy as np

@@ -84,7 +84,7 @@ def _random_instance(workload: Workload, rng: np.random.Generator) -> Instance:
 
 class TestRegistry:
     def test_builtin_backends_registered(self):
-        assert _BUILTIN_BACKENDS <= set(registered_backends())
+        assert _BUILTIN_BACKENDS == set(registered_backends())
 
     def test_unknown_backend_rejected(self):
         workload = _random_workload(0)
@@ -300,18 +300,25 @@ class TestShardedBackend:
         sharded = WorkloadEvaluator(workload, mode="sharded", workers=2)
         try:
             session = sharded.histogram_session(flat)
+            reference = serial.histogram_session(flat)
             assert np.array_equal(session.answers(), serial.answers_on_histogram(flat))
+            assert np.array_equal(session.answers(), reference.answers())
             indices = np.array([0, 2, 5], dtype=np.int64)
-            session.scale_support(indices, np.full(3, 1.5))
-            session.scale(2.0)
+            for ops in (session, reference):
+                ops.scale_support(indices, np.full(3, 1.5))
+                ops.scale(2.0)
             expected = flat.copy()
             expected[indices] *= 1.5
             expected *= 2.0
+            # The session maintains its answers as the serial session does;
+            # a fresh dispatch reads the written segment in the workers.
+            assert np.array_equal(session.answers(), reference.answers())
             assert np.array_equal(
-                session.answers(), serial.answers_on_histogram(expected)
+                sharded.backend._dispatch(), serial.answers_on_histogram(expected)
             )
             assert session.total() == pytest.approx(float(expected.sum()))
             session.close()
+            reference.close()
         finally:
             sharded.close()
 

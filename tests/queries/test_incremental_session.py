@@ -142,3 +142,37 @@ def test_column_view_is_built_once_per_workload():
     assert np.array_equal(columns.order, np.argsort(packed.indices, kind="stable"))
     rows = np.repeat(np.arange(packed.num_queries), np.diff(packed.indptr))
     assert np.array_equal(columns.rows, rows[columns.order])
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+def test_sharded_session_tracks_the_sparse_session_bitwise(workers):
+    """Same ops, same column view: sharded answers and histogram equal sparse's."""
+    workload = _random_workload(5)
+    rng = np.random.default_rng(workers)
+    domain_size = workload.join_query.joint_domain_size
+    serial = WorkloadEvaluator(workload, mode="sparse")
+    sharded = WorkloadEvaluator(workload, mode="sharded", workers=workers)
+    supports = [serial.query_support(index)[0] for index in range(len(workload))]
+    initial = rng.uniform(0.5, 2.0, domain_size)
+    sessions = [serial.histogram_session(initial), sharded.histogram_session(initial)]
+    try:
+        for _ in range(OPS // 5):
+            kind = rng.choice(["support", "scale", "fill"], p=[0.8, 0.15, 0.05])
+            if kind == "support":
+                cells = supports[int(rng.integers(len(supports)))]
+                factors = np.exp(rng.uniform(-1.0, 1.0, cells.size))
+                for session in sessions:
+                    session.scale_support(cells, factors)
+            elif kind == "scale":
+                factor = float(np.exp(rng.uniform(-1.0, 1.0)))
+                for session in sessions:
+                    session.scale(factor)
+            else:
+                for session in sessions:
+                    session.fill(1.0)
+            assert np.array_equal(sessions[0].answers(), sessions[1].answers())
+            assert np.array_equal(sessions[0]._array, sessions[1]._array)
+    finally:
+        for session in sessions:
+            session.close()
+        sharded.close()

@@ -8,10 +8,9 @@ in ``test_csr_oracle``; the incremental session in
 from __future__ import annotations
 
 import numpy as np
-import pytest
 
 import repro.queries.vectorized as vectorized
-from repro.queries.backends import EvaluatorConfig, EvaluatorContext, registered_backends
+from repro.queries.backends import EvaluatorConfig, EvaluatorContext
 from repro.queries.evaluation import WorkloadEvaluator, shared_evaluator
 from repro.queries.vectorized import ColumnView, PackedWorkload, SparseBackend
 from repro.queries.workload import Workload
@@ -85,21 +84,6 @@ class TestColumnView:
         evaluator = WorkloadEvaluator(_mixed_workload(), mode="sparse")
         packed = evaluator.backend.packed_workload()
         return packed, ColumnView(packed, evaluator.domain_size), evaluator.domain_size
-
-    def test_cells_list_their_entries_in_query_order(self):
-        packed, view, domain_size = self._view()
-        rows = packed.matrix(domain_size).toarray()
-        for cell in range(domain_size):
-            lo, hi = int(view.indptr[cell]), int(view.indptr[cell + 1])
-            listed = view.rows[lo:hi]
-            assert np.array_equal(listed, np.flatnonzero(rows[:, cell])), cell
-            assert np.array_equal(packed.indices[view.order[lo:hi]], np.full(hi - lo, cell))
-
-    def test_int32_view_costs_8nnz_plus_4d_bytes(self):
-        packed, view, domain_size = self._view()
-        assert view.indptr.dtype == view.order.dtype == view.rows.dtype == np.int32
-        nbytes = view.indptr.nbytes + view.order.nbytes + view.rows.nbytes
-        assert nbytes == 8 * packed.total_entries + 4 * (domain_size + 1)
 
     def test_matvec_is_the_column_block_product(self):
         packed, view, domain_size = self._view()
@@ -221,12 +205,6 @@ class TestWorkloadCache:
         assert default.mode == "sparse"
         # Distinct backends never collide in the cache.
         assert default is not shared_evaluator(workload, backend="dense")
-
-    def test_sparse_is_the_only_csr_mode(self):
-        assert "sparse" in registered_backends()
-        assert "vector" not in registered_backends()
-        with pytest.raises(ValueError, match="unknown evaluator backend 'vector'"):
-            WorkloadEvaluator(_mixed_workload(), mode="vector")
 
 
 class TestShardKernels:
