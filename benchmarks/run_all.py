@@ -139,21 +139,6 @@ SMOKE_RUNS: dict[str, tuple] = {
             seed=0,
         ),
     ),
-    "bench_e17_streaming_prefetch": (
-        EXPERIMENTS["e17"],
-        dict(
-            size_a=8,
-            size_b=4,
-            size_c=8,
-            num_queries=3,
-            prefetch_depth=2,
-            eval_repeats=1,
-            pmw_rounds=2,
-            tuples_per_relation=60,
-            chunk_size=64,
-            seed=0,
-        ),
-    ),
     "bench_e18_domain_partitioned": (
         EXPERIMENTS["e18"],
         dict(

@@ -38,7 +38,7 @@ from repro.relational.instance import Instance
 from repro.relational.join import join_result, join_size
 from repro.queries.linear import ProductQuery, TableQuery, counting_query
 from repro.queries.workload import Workload
-from repro.queries.backends import EvaluationBackend, register_backend, registered_backends
+from repro.queries.backends import EvaluationBackend
 from repro.queries.evaluation import (
     ErrorReport,
     WorkloadEvaluator,
@@ -87,8 +87,6 @@ __all__ = [
     "multi_table_release",
     "path3_query",
     "private_multiplicative_weights",
-    "register_backend",
-    "registered_backends",
     "release_synthetic_data",
     "residual_sensitivity",
     "set_default_backend",

@@ -6,7 +6,6 @@ Usage::
     python -m repro.cli run e6              # run one experiment, print its table
     python -m repro.cli run all --seed 1    # run the full suite
     python -m repro.cli run e16 --evaluator-backend sharded --workers 4
-    python -m repro.cli run e17 --evaluator-backend prefetch
     python -m repro.cli run e15 --evaluator-backend sparse
     python -m repro.cli demo                # tiny end-to-end quickstart
 
@@ -50,7 +49,7 @@ import time
 
 from repro import telemetry
 from repro.experiments import DESCRIPTIONS, EXPERIMENTS
-from repro.queries.evaluation import registered_backends, set_default_backend
+from repro.queries.evaluation import BACKENDS, set_default_backend
 
 
 def _cmd_list() -> int:
@@ -128,7 +127,7 @@ def main(argv: list[str] | None = None) -> int:
     for sub in (run_parser, demo_parser):
         sub.add_argument(
             "--evaluator-backend",
-            choices=("auto",) + registered_backends(),
+            choices=("auto",) + tuple(BACKENDS),
             default="auto",
             help="workload-evaluation backend for every release in the run "
             "('sparse' = packed CSR, one scipy matvec per evaluation)",
@@ -138,9 +137,9 @@ def main(argv: list[str] | None = None) -> int:
             type=_positive_int,
             default=1,
             help="worker processes for the sharded and domain evaluation "
-            "backends (>= 2 also makes 'sharded' eligible for the automatic "
-            "choice; 'domain' gives each worker its own histogram slice) and "
-            "the decode look-ahead depth of the 'prefetch' streaming backend",
+            "backends (>= 2 also makes the automatic choice pick 'sharded' "
+            "once the dense matrix is over budget; 'domain' gives each worker "
+            "its own histogram slice)",
         )
         sub.add_argument(
             "--telemetry",

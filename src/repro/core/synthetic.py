@@ -104,9 +104,8 @@ class SyntheticDataset:
         """Yield the histogram as flat ``(start, stop, cells)`` slices.
 
         The inverse of :meth:`from_flat_slices`: lets consumers stream the
-        released histogram range by range (e.g. to seed a partitioned
-        session via ``HistogramSeed.from_slices``) without a second
-        full-domain copy — the yielded cells are read-only views.
+        released histogram range by range without a second full-domain
+        copy — the yielded cells are read-only views.
         """
         if slice_size <= 0:
             raise ValueError(f"slice_size must be positive, got {slice_size}")

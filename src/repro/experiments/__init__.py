@@ -34,7 +34,6 @@ from repro.experiments import (
     e14_privacy_audit,
     e15_evaluator_scaling,
     e16_sharded_evaluation,
-    e17_streaming_prefetch,
     e18_domain_partitioned,
     e20_observability,
 )
@@ -81,7 +80,6 @@ _RUNNERS = {
     "e14": e14_privacy_audit.run,
     "e15": e15_evaluator_scaling.run,
     "e16": e16_sharded_evaluation.run,
-    "e17": e17_streaming_prefetch.run,
     "e18": e18_domain_partitioned.run,
     "e20": e20_observability.run,
 }
@@ -105,7 +103,6 @@ DESCRIPTIONS = {
     "e14": "Lemmas 3.2/3.7/4.1 — empirical privacy audit",
     "e15": "Workload-evaluation engine scaling — dense vs sparse vs streaming",
     "e16": "Sharded multi-process evaluation — parallel speedup with bitwise PMW parity",
-    "e17": "Pipelined streaming evaluation — async chunk prefetch with bitwise parity",
     "e18": "Domain-partitioned histograms — per-slice shared memory, no |D| allocation",
     "e20": "Observability — hash-chained audit journal, live scrape endpoints, overhead",
 }

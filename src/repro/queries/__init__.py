@@ -5,30 +5,24 @@ function ``q_i : D_i -> [-1, +1]`` per relation; its answer is the weighted
 join size ``Σ_t ρ(t)·Π_i q_i(t_i)·R_i(t_i)``.  This subpackage provides the
 query objects, standard workload families (counting, predicates, marginals,
 ranges, random signs), and exact evaluation against both instances and
-released synthetic datasets through the pluggable evaluation-backend
-registry (dense / sparse CSR / sharded / domain-partitioned / streaming /
-prefetching-streaming).
+released synthetic datasets through five evaluation backends (dense /
+sparse CSR / sharded / domain-partitioned / streaming).
 """
 
 from repro.queries.linear import ProductQuery, TableQuery, all_one_query, counting_query
 from repro.queries.workload import Workload
 from repro.queries.backends import (
     ArrayHistogramSession,
-    BackendCost,
     EvaluationBackend,
     EvaluatorConfig,
     EvaluatorContext,
     HistogramSeed,
     HistogramSession,
-    register_backend,
-    registered_backends,
-    unregister_backend,
 )
 from repro.queries.evaluation import (
     ErrorReport,
     WorkloadEvaluator,
     auto_evaluator_mode,
-    evaluator_backend_costs,
     get_default_backend,
     max_error,
     set_default_backend,
@@ -38,7 +32,6 @@ from repro.queries.vectorized import PackedWorkload
 
 __all__ = [
     "ArrayHistogramSession",
-    "BackendCost",
     "ErrorReport",
     "EvaluationBackend",
     "EvaluatorConfig",
@@ -53,12 +46,8 @@ __all__ = [
     "all_one_query",
     "auto_evaluator_mode",
     "counting_query",
-    "evaluator_backend_costs",
     "get_default_backend",
     "max_error",
-    "register_backend",
-    "registered_backends",
     "set_default_backend",
     "shared_evaluator",
-    "unregister_backend",
 ]

@@ -1,11 +1,10 @@
-"""Pluggable workload-evaluation backends.
+"""Workload-evaluation backends and the automatic choice between them.
 
 The release algorithms evaluate workloads through the
 :class:`~repro.queries.evaluation.WorkloadEvaluator` facade; the actual
-work is done by an :class:`EvaluationBackend` drawn from a registry.  A
-backend owns one representation of the workload (dense matrix, CSR
-supports, nothing at all, sharded CSR over a process pool, ...) and answers
-four questions:
+work is done by an :class:`EvaluationBackend`.  A backend owns one
+representation of the workload (dense matrix, CSR supports, nothing at
+all, sharded CSR over a process pool, ...) and answers four questions:
 
 ``answers_on_histogram(flat)``
     The full answer vector ``(q(F))_q`` against a flat joint-domain
@@ -16,25 +15,22 @@ four questions:
 ``support_size(index)``
     The exact number of non-zero joint-domain cells of one query.
 ``estimated_memory()``
-    The resident bytes the backend holds once built — the quantity the
-    cost model ranks backends by.
+    The resident bytes the backend holds once built.
 
-Backends register themselves with :func:`register_backend`; the automatic
-choice is an explicit cost model (:func:`backend_costs` /
-:func:`choose_backend`): every registered backend reports eligibility and
-an estimated memory footprint against the configured budgets, and the
-cheapest-per-evaluation eligible backend wins (``speed_rank`` orders the
-per-evaluation cost: dense matmul < sharded parallel matvec < serial CSR
-matvec < pipelined streaming re-scan < serial streaming re-scan).
-Registering a custom backend class is enough for ``mode="auto"``, the CLI
-flags, and the parity test-suite to pick it up.  This module defines the
-``dense``, ``streaming`` and ``prefetch`` backends; the CSR backend
-(``sparse``) lives in :mod:`repro.queries.vectorized` and the process-pool
-backends (``sharded``, ``domain``) in :mod:`repro.queries.sharded`.
+The automatic choice (:func:`choose_backend`) is one rule over the budgets
+and the worker count: ``dense`` while ``|Q|·|D|`` fits the cell budget,
+else ``sharded`` with two or more workers, else ``sparse`` while the total
+support fits the sparse budget, else ``streaming``.  This module defines
+the ``dense`` and ``streaming`` backends and the chunked scan
+(:func:`scan_answers`) that ``streaming`` shares with the chunked
+strategies of the process-pool backends; the CSR backend (``sparse``)
+lives in :mod:`repro.queries.vectorized` and the process-pool backends
+(``sharded``, ``domain``) in :mod:`repro.queries.sharded`.  The name table
+lives in :mod:`repro.queries.evaluation`.
 
 Shared machinery (exact support-size einsums, chunk plans, chunked support
 construction) lives in :class:`EvaluatorContext`, which every backend
-receives on construction, so new backends only implement the evaluation
+receives on construction, so backends only implement the evaluation
 strategy itself.
 
 Iterated evaluation (the PMW loop) goes through a
@@ -42,19 +38,17 @@ Iterated evaluation (the PMW loop) goes through a
 rescale, uniform scale/fill, total, accumulate) behind which the histogram
 representation is private to the backend: one array, a shared-memory
 block, or per-slice segments spread over worker processes.  Sessions are
-opened from a declarative :class:`HistogramSeed` (uniform total, per-slice
-initializer, or concrete array) via ``seeded_session``, so backends that
-partition the domain never materialise ``|D|`` cells in the parent.
+opened from a declarative :class:`HistogramSeed` (uniform total or
+concrete array) via ``seeded_session``, so backends that partition the
+domain never materialise ``|D|`` cells for a uniform start.
 """
 
 from __future__ import annotations
 
 import os
-import queue
-import threading
 import time
 from dataclasses import dataclass
-from typing import Callable, ClassVar, Iterator
+from typing import ClassVar, Iterator
 
 import numpy as np
 
@@ -66,12 +60,13 @@ from repro.telemetry import (
     trace as _trace,
 )
 
-#: Above this many dense matrix cells (``|Q|·|D|``) the dense backend is
-#: ineligible and the evaluator stops materialising the full query matrix.
+#: Above this many dense matrix cells (``|Q|·|D|``) the automatic choice
+#: stops materialising the full query matrix.
 _MATRIX_CELL_BUDGET = 60_000_000
 
-#: Above this many total support entries the sparse CSR form is ineligible
-#: (each entry stores an int64 index and a float64 value).
+#: Above this many total support entries the automatic choice stops
+#: building the sparse CSR form (each entry stores an int64 index and a
+#: float64 value).
 _SPARSE_CELL_BUDGET = 30_000_000
 
 #: Supports are extracted from a dense per-query joint vector while ``|D|``
@@ -90,111 +85,67 @@ def effective_cpu_count() -> int:
         return os.cpu_count() or 1
 
 
-#: Sentinel the decode thread enqueues after the last chunk.
-_DECODE_DONE = object()
-
-
 def iter_decoded_chunks(
-    shape: tuple[int, ...],
-    start: int,
-    stop: int,
-    chunk_size: int,
-    *,
-    prefetch: int = 0,
+    shape: tuple[int, ...], start: int, stop: int, chunk_size: int
 ) -> Iterator[tuple[int, int, tuple[np.ndarray, ...]]]:
     """Yield ``(chunk_start, chunk_stop, multi)`` over ``[start, stop)``.
 
     ``multi`` is the flat-to-multi index decode of the chunk — the buffer
     every query scanning the chunk shares, so the decode happens once per
     chunk, never once per query (or per shard).
-
-    With ``prefetch == 0`` chunks are decoded inline.  With
-    ``prefetch >= 1`` a background thread decodes up to ``prefetch`` chunks
-    ahead of the consumer through a bounded queue, so the decode of chunk
-    ``k+1`` overlaps the per-query weight products and matvec of chunk
-    ``k`` (``np.unravel_index``/``np.arange`` release the GIL on
-    large-enough chunks).  The yielded triples — and therefore any
-    accumulation order built on them — are identical in both settings;
-    only the wall-clock overlap changes.  Abandoning the iterator early
-    (``break``, exception) cancels and joins the decode thread; decode
-    failures re-raise in the consumer.
     """
     if chunk_size <= 0:
         raise ValueError(f"chunk_size must be positive, got {chunk_size}")
-    bounds = [
-        (lo, min(lo + chunk_size, stop)) for lo in range(start, stop, chunk_size)
-    ]
-
-    # Telemetry is sampled once at iterator creation: the decode thread and
-    # the consumer then write to *distinct* instruments (decode timings on
-    # the producer, queue depth on the consumer), so recording never needs a
-    # lock on the scan hot path.
     recording = _telemetry_enabled()
     if recording:
-        _decode_count = _telemetry_registry().counter("chunks.decoded")
-        _decode_seconds = _telemetry_registry().distribution("chunks.decode_seconds")
-
-    def decode(lo: int, hi: int) -> tuple[int, int, tuple[np.ndarray, ...]]:
-        if not recording:
-            return (lo, hi, np.unravel_index(np.arange(lo, hi, dtype=np.int64), shape))
-        began = time.perf_counter_ns()
+        decode_count = _telemetry_registry().counter("chunks.decoded")
+        decode_seconds = _telemetry_registry().distribution("chunks.decode_seconds")
+    for lo in range(start, stop, chunk_size):
+        hi = min(lo + chunk_size, stop)
+        began = time.perf_counter_ns() if recording else 0
         multi = np.unravel_index(np.arange(lo, hi, dtype=np.int64), shape)
-        _decode_seconds.observe((time.perf_counter_ns() - began) / 1e9)
-        _decode_count.add()
-        return (lo, hi, multi)
+        if recording:
+            decode_seconds.observe((time.perf_counter_ns() - began) / 1e9)
+            decode_count.add()
+        yield lo, hi, multi
 
-    if prefetch <= 0 or len(bounds) <= 1:
-        for lo, hi in bounds:
-            yield decode(lo, hi)
-        return
 
-    slots: queue.Queue = queue.Queue(maxsize=int(prefetch))
-    cancelled = threading.Event()
+#: A query's chunk plan: per-relation ``(joint axes, weights)`` factors.
+ChunkPlan = tuple[tuple[tuple[int, ...], np.ndarray], ...]
 
-    def put(item) -> bool:
-        """Enqueue, backing off while full so cancellation stays responsive."""
-        while not cancelled.is_set():
-            try:
-                slots.put(item, timeout=0.05)
-                return True
-            except queue.Full:
-                continue
-        return False
 
-    def produce() -> None:
-        try:
-            for lo, hi in bounds:
-                if not put(decode(lo, hi)):
-                    return
-            put(_DECODE_DONE)
-        except BaseException as error:  # noqa: BLE001  (re-raised in the consumer)
-            put(error)
+def plan_values(plan: ChunkPlan, multi: tuple[np.ndarray, ...], length: int) -> np.ndarray:
+    """One query's values on a decoded chunk: the product of its weight factors."""
+    values = np.ones(length, dtype=np.float64)
+    for axes, weights in plan:
+        values = values * weights[tuple(multi[axis] for axis in axes)]
+    return values
 
-    thread = threading.Thread(target=produce, name="repro-chunk-decode", daemon=True)
-    thread.start()
-    if recording:
-        _queue_depth = _telemetry_registry().distribution("prefetch.queue_depth")
-    try:
-        while True:
-            if recording:
-                # How far ahead the decode thread is running each time the
-                # consumer comes back for a chunk: 0 = decode-bound,
-                # `prefetch` = compute-bound.
-                _queue_depth.observe(float(slots.qsize()))
-            item = slots.get()
-            if item is _DECODE_DONE:
-                break
-            if isinstance(item, BaseException):
-                raise item
-            yield item
-    finally:
-        cancelled.set()
-        while True:  # drain so a blocked put wakes promptly
-            try:
-                slots.get_nowait()
-            except queue.Empty:
-                break
-        thread.join()
+
+def scan_answers(
+    shape: tuple[int, ...],
+    plans: list[ChunkPlan],
+    histogram: np.ndarray,
+    start: int,
+    stop: int,
+    chunk_size: int,
+    offset: int = 0,
+) -> np.ndarray:
+    """Answers of every plan over the flat range ``[start, stop)``, chunk by chunk.
+
+    The one chunked scan: the ``streaming`` backend runs it over the whole
+    domain, the chunked strategies of ``sharded`` and ``domain`` over each
+    worker's range.  ``histogram`` holds the cells of the range starting at
+    flat index ``offset``.  Chunks are visited in ascending order and each
+    query's partial sums accumulate in that order, so a scan is
+    deterministic and the extra memory is one chunk.
+    """
+    answers = np.zeros(len(plans), dtype=np.float64)
+    for lo, hi, multi in iter_decoded_chunks(shape, start, stop, chunk_size):
+        chunk = histogram[lo - offset : hi - offset]
+        for index, plan in enumerate(plans):
+            answers[index] += float(plan_values(plan, multi, hi - lo) @ chunk)
+    return answers
 
 
 def streaming_scratch_bytes(context: "EvaluatorContext") -> int:
@@ -202,7 +153,7 @@ def streaming_scratch_bytes(context: "EvaluatorContext") -> int:
 
     One chunk of decoded multi-indices (``ndim`` int64 arrays) plus the
     value and histogram-slice buffers; shared by the streaming backend and
-    the sharded backend's chunked strategy so their cost-model entries and
+    the chunked strategies of the process-pool backends so their
     ``estimated_memory`` reports cannot drift apart.
     """
     chunk = min(context.config.chunk_size, context.domain_size)
@@ -211,22 +162,12 @@ def streaming_scratch_bytes(context: "EvaluatorContext") -> int:
 
 @dataclass(frozen=True)
 class EvaluatorConfig:
-    """Budgets and knobs shared by every backend of one evaluator.
-
-    ``telemetry`` scopes this evaluator's instrumentation: ``None`` (the
-    default) follows the process-global switch
-    (:func:`repro.telemetry.configure`), ``False`` forces this evaluator's
-    recording off even while the global switch is on (useful to keep a
-    baseline evaluator out of a measurement), and ``True`` documents an
-    opt-in — recording still requires the global switch, since metrics land
-    in the global registry.
-    """
+    """Budgets and knobs shared by every backend of one evaluator."""
 
     cell_budget: int = _MATRIX_CELL_BUDGET
     sparse_cell_budget: int = _SPARSE_CELL_BUDGET
     chunk_size: int = _DEFAULT_CHUNK_SIZE
     workers: int = 1
-    telemetry: bool | None = None
 
 
 class EvaluatorContext:
@@ -250,22 +191,12 @@ class EvaluatorContext:
         self.shape = self.join_query.shape
         self.domain_size = self.join_query.joint_domain_size
         self._support_sizes: dict[int, int] = {}
-        self._chunk_plans: dict[int, tuple[tuple[tuple[int, ...], np.ndarray], ...]] = {}
+        self._chunk_plans: dict[int, ChunkPlan] = {}
         self._supports_fit: bool | None = None
 
     @property
     def num_queries(self) -> int:
         return len(self.workload)
-
-    def telemetry_enabled(self) -> bool:
-        """Whether this evaluator's instrumentation should record.
-
-        True only when the process-global telemetry switch is on *and* the
-        config does not force it off (``telemetry=False``).
-        """
-        if self.config.telemetry is False:
-            return False
-        return _telemetry_enabled()
 
     def validated_flat(self, histogram: np.ndarray) -> np.ndarray:
         """``histogram`` as a flat float64 vector, or raise on a size mismatch.
@@ -336,7 +267,7 @@ class EvaluatorContext:
     # ------------------------------------------------------------------ #
     # chunked evaluation plans
     # ------------------------------------------------------------------ #
-    def chunk_plan(self, index: int) -> tuple[tuple[tuple[int, ...], np.ndarray], ...]:
+    def chunk_plan(self, index: int) -> ChunkPlan:
         """Per-relation ``(joint axes, weights)`` gather plan, all-one factors elided."""
         cached = self._chunk_plans.get(index)
         if cached is not None:
@@ -353,24 +284,9 @@ class EvaluatorContext:
         self._chunk_plans[index] = result
         return result
 
-    def values_on_chunk(
-        self,
-        index: int,
-        start: int,
-        stop: int,
-        multi: tuple[np.ndarray, ...] | None = None,
-    ) -> np.ndarray:
-        """Query values on the flat joint-domain index range ``[start, stop)``.
-
-        ``multi`` lets callers that scan many queries over the same chunk
-        share one flat-to-multi index decode.
-        """
-        if multi is None:
-            multi = np.unravel_index(np.arange(start, stop, dtype=np.int64), self.shape)
-        values = np.ones(stop - start, dtype=np.float64)
-        for axes, weights in self.chunk_plan(index):
-            values = values * weights[tuple(multi[axis] for axis in axes)]
-        return values
+    def chunk_plans(self) -> list[ChunkPlan]:
+        """The chunk plan of every query, in workload order."""
+        return [self.chunk_plan(index) for index in range(self.num_queries)]
 
     def query_values(self, index: int) -> np.ndarray:
         """Flattened joint-domain value vector of one query (dense)."""
@@ -392,7 +308,8 @@ class EvaluatorContext:
             value_parts: list[np.ndarray] = []
             for start in range(0, self.domain_size, self.config.chunk_size):
                 stop = min(start + self.config.chunk_size, self.domain_size)
-                values = self.values_on_chunk(index, start, stop)
+                multi = np.unravel_index(np.arange(start, stop, dtype=np.int64), self.shape)
+                values = plan_values(self.chunk_plan(index), multi, stop - start)
                 nonzero = np.flatnonzero(values)
                 if nonzero.size:
                     index_parts.append(nonzero.astype(np.int64) + start)
@@ -414,38 +331,28 @@ class HistogramSeed:
 
     The PMW loop never needs the start histogram as one materialised
     ndarray — it needs a *rule* for what every cell starts at.  A seed
-    captures that rule in one of three forms:
+    captures that rule in one of two forms:
 
     ``uniform(total)``
         Every cell starts at ``total / |D|`` — the PMW start histogram.
         Ships a single scalar, so a partitioned backend seeds each slice
         locally and the parent process never allocates ``|D|`` cells.
-    ``from_slices(initializer)``
-        ``initializer(start, stop, domain_size)`` produces the cells of
-        any flat range on demand; partitioned backends call it once per
-        owned slice, serial backends once for the whole domain.
     ``from_array(array)``
-        A concrete histogram (copied into session storage).  The
-        compatibility form — this is what ``histogram_session(initial)``
-        wraps — and the only one whose peak memory is ``O(|D|)`` in the
-        parent.
+        A concrete histogram (copied into session storage, slice by slice
+        on a partitioned backend).  This is what
+        ``histogram_session(initial)`` wraps.
 
-    Exactly one of the three underlying fields is set; :meth:`cells`
-    realises any flat slice and :meth:`materialize` the whole domain.
+    Exactly one of ``total`` and ``array`` is set; :meth:`cells` realises
+    any flat slice and :meth:`materialize` the whole domain.
     """
 
     total: float | None = None
-    initializer: "Callable[[int, int, int], np.ndarray] | None" = None
     array: np.ndarray | None = None
 
     def __post_init__(self):
-        populated = sum(
-            field is not None for field in (self.total, self.initializer, self.array)
-        )
-        if populated != 1:
+        if (self.total is None) == (self.array is None):
             raise ValueError(
-                "a HistogramSeed is exactly one of uniform total, per-slice "
-                f"initializer, or concrete array ({populated} given)"
+                "a HistogramSeed is exactly one of uniform total or concrete array"
             )
 
     @classmethod
@@ -455,11 +362,6 @@ class HistogramSeed:
         if not np.isfinite(total) or total < 0.0:
             raise ValueError(f"uniform seed total must be finite and >= 0, got {total}")
         return cls(total=total)
-
-    @classmethod
-    def from_slices(cls, initializer: "Callable[[int, int, int], np.ndarray]") -> "HistogramSeed":
-        """Seed from ``initializer(start, stop, domain_size) -> cells``."""
-        return cls(initializer=initializer)
 
     @classmethod
     def from_array(cls, array: np.ndarray) -> "HistogramSeed":
@@ -480,19 +382,11 @@ class HistogramSeed:
         """The seed values of the flat range ``[start, stop)``."""
         if self.total is not None:
             return np.full(stop - start, self.total / domain_size, dtype=np.float64)
-        if self.array is not None:
-            if self.array.size != domain_size:
-                raise ValueError(
-                    f"seed array has {self.array.size} cells, expected {domain_size}"
-                )
-            return self.array[start:stop]
-        cells = np.asarray(self.initializer(start, stop, domain_size), dtype=np.float64)
-        if cells.shape != (stop - start,):
+        if self.array.size != domain_size:
             raise ValueError(
-                f"seed initializer returned shape {cells.shape} for "
-                f"[{start}, {stop}); expected ({stop - start},)"
+                f"seed array has {self.array.size} cells, expected {domain_size}"
             )
-        return cells
+        return self.array[start:stop]
 
     def materialize(self, domain_size: int) -> np.ndarray:
         """The whole seed histogram as one flat vector (serial backends only)."""
@@ -624,39 +518,20 @@ class ArrayHistogramSession(HistogramSession):
 
 
 # ---------------------------------------------------------------------- #
-# the backend protocol and registry
+# the backend protocol and the automatic choice
 # ---------------------------------------------------------------------- #
-@dataclass(frozen=True)
-class BackendCost:
-    """One backend's entry in the automatic-choice cost model.
-
-    ``reason`` explains an ineligible entry (budget exceeded, availability
-    probe failed, ...) so cost reports say *why* a backend was ruled out;
-    it is empty for eligible entries.
-    """
-
-    backend: str
-    eligible: bool
-    speed_rank: int
-    memory_bytes: int
-    reason: str = ""
-
-
 class EvaluationBackend:
     """Base class of every evaluation backend.
 
-    Subclasses set ``name`` and ``speed_rank``, implement
-    ``answers_on_histogram`` / ``_build_support`` / ``estimated_memory``,
-    and the two cost-model classmethods ``is_eligible`` (cheap, used by the
-    auto-chooser in rank order) and ``estimate_cost`` (full report).  The
-    base class provides budget-capped support caching: backends whose
-    primary representation *is* the support set (``caches_all_supports``)
-    keep every support; the others only cache within the sparse cell budget
-    so e.g. streaming keeps its bounded-memory guarantee.
+    Subclasses set ``name`` and implement ``answers_on_histogram`` /
+    ``_build_support`` / ``estimated_memory``.  The base class provides
+    budget-capped support caching: backends whose primary representation
+    *is* the support set (``caches_all_supports``) keep every support; the
+    others only cache within the sparse cell budget so e.g. streaming keeps
+    its bounded-memory guarantee.
     """
 
     name: ClassVar[str]
-    speed_rank: ClassVar[int]
     caches_all_supports: ClassVar[bool] = False
 
     def __init__(self, context: EvaluatorContext):
@@ -664,7 +539,7 @@ class EvaluationBackend:
         # The backend's own effective count: normalised at construction so a
         # directly built backend and the facade paths (WorkloadEvaluator,
         # shared_evaluator) cannot disagree, without mutating the caller's
-        # context (whose config keeps answering cost queries as configured).
+        # context.
         self._workers = self.normalize_workers(context.config.workers)
         self._supports: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         self._cached_support_entries = 0
@@ -673,22 +548,6 @@ class EvaluationBackend:
     def workers(self) -> int:
         """The effective worker count this backend runs with."""
         return self._workers
-
-    # -- cost model -------------------------------------------------------
-    @classmethod
-    def is_available(cls) -> bool:
-        """Whether this backend's runtime requirements are met at all.
-
-        An *availability* probe checks optional dependencies and hardware
-        (an importable accelerator library, a second core, ...) — properties
-        of the process, not of one workload; :meth:`is_eligible` then judges
-        the workload against the budgets.  The automatic choice skips
-        backends whose probe returns ``False`` — or raises: a broken
-        optional dependency must degrade the auto choice, never abort it —
-        and :func:`backend_costs` records the failure as the entry's
-        ``reason``.
-        """
-        return True
 
     @classmethod
     def normalize_workers(cls, workers: int) -> int:
@@ -706,14 +565,6 @@ class EvaluationBackend:
             raise ValueError(f"workers must be at least 1, got {workers}")
         return workers
 
-    @classmethod
-    def is_eligible(cls, context: EvaluatorContext) -> bool:
-        raise NotImplementedError
-
-    @classmethod
-    def estimate_cost(cls, context: EvaluatorContext) -> BackendCost:
-        raise NotImplementedError
-
     # -- evaluation -------------------------------------------------------
     def answers_on_histogram(self, flat: np.ndarray) -> np.ndarray:
         """Answers against a flat float64 histogram (validated by the facade)."""
@@ -729,8 +580,8 @@ class EvaluationBackend:
         The base implementation realises the seed as one flat vector and
         copies it into session storage — correct for every backend whose
         session holds the full histogram anyway.  Partitioned backends
-        override this to seed each owned slice locally, so a uniform or
-        per-slice seed never allocates ``|D|`` cells in the parent.
+        override this to seed each owned slice locally, so a uniform seed
+        never allocates ``|D|`` cells in the parent.
         """
         if seed.array is not None:
             return self.session(self._context.validated_flat(seed.array))
@@ -768,103 +619,19 @@ class EvaluationBackend:
         """Release backend resources (worker pools, shared memory, ...)."""
 
 
-_REGISTRY: dict[str, type[EvaluationBackend]] = {}
-
-
-def register_backend(cls: type[EvaluationBackend]) -> type[EvaluationBackend]:
-    """Class decorator adding a backend to the registry (keyed by ``cls.name``).
-
-    Re-registering the *same* class is an idempotent no-op (module reloads);
-    registering a *different* class under an existing mode name is rejected —
-    silently shadowing an earlier backend would reroute every consumer of
-    that name without a trace.  Replace a backend explicitly by calling
-    :func:`unregister_backend` first.
-    """
-    name = getattr(cls, "name", None)
-    if not name or not isinstance(name, str):
-        raise ValueError("a backend class must define a non-empty string `name`")
-    if name == "auto":
-        raise ValueError('"auto" is reserved for the automatic choice')
-    existing = _REGISTRY.get(name)
-    if existing is not None and existing is not cls:
-        raise ValueError(
-            f"evaluator backend name {name!r} is already registered to "
-            f"{existing.__qualname__}; unregister_backend({name!r}) first to "
-            "replace it"
-        )
-    _REGISTRY[name] = cls
-    return cls
-
-
-def unregister_backend(name: str) -> None:
-    """Remove a backend from the registry (primarily for tests)."""
-    _REGISTRY.pop(name, None)
-
-
-def registered_backends() -> tuple[str, ...]:
-    """Names of every registered backend, in registration order."""
-    return tuple(_REGISTRY)
-
-
-def backend_class(name: str) -> type[EvaluationBackend]:
-    try:
-        return _REGISTRY[name]
-    except KeyError:
-        raise ValueError(
-            f"unknown evaluator backend {name!r}; expected one of "
-            f"{('auto',) + registered_backends()}"
-        ) from None
-
-
-def _ranked_backends() -> Iterator[type[EvaluationBackend]]:
-    order = {name: position for position, name in enumerate(_REGISTRY)}
-    yield from sorted(_REGISTRY.values(), key=lambda cls: (cls.speed_rank, order[cls.name]))
-
-
-def _availability(cls: type[EvaluationBackend]) -> tuple[bool, str]:
-    """``(available, reason-if-not)`` of one backend's availability probe.
-
-    A probe that *raises* counts as unavailable with the error recorded —
-    a backend whose optional dependency is broken must drop out of the
-    automatic choice, not abort it.
-    """
-    try:
-        if cls.is_available():
-            return True, ""
-        return False, "availability probe returned False"
-    except Exception as error:  # noqa: BLE001  (reported in the cost entry)
-        return False, f"availability probe raised {type(error).__name__}: {error}"
-
-
-def _skip_reason(cls: type[EvaluationBackend], context: EvaluatorContext) -> str:
-    """Why an available-but-ineligible backend was passed over.
-
-    Surfaces :attr:`BackendCost.reason` from the backend's own cost entry;
-    only called while telemetry records, so the full cost measurement never
-    runs on an uninstrumented choice.
-    """
-    try:
-        reason = cls.estimate_cost(context).reason
-    except Exception as error:  # noqa: BLE001  (diagnostics must not abort the choice)
-        return f"estimate_cost raised {type(error).__name__}: {error}"
-    return reason or "ineligible for this workload"
-
-
 def choose_backend(context: EvaluatorContext) -> str:
-    """The cost model's pick: the fastest available and eligible backend.
+    """The automatic choice: the first of four checks that holds.
 
-    Backends are probed in ``speed_rank`` order, so expensive eligibility
-    measurements (the sparse support count) only run when every faster
-    backend has already been ruled out.  Unavailable backends — probe
-    returns ``False`` or raises — are skipped without aborting the choice.
+    ``dense`` while ``|Q|·|D|`` fits the cell budget, else ``sharded`` when
+    two or more workers were asked for, else ``sparse`` while the measured
+    total support fits the sparse budget, else ``streaming``.  The support
+    measurement only runs once the cheaper checks have failed.
 
     Telemetry: while recording, the decision becomes an
-    ``evaluator.choose_backend`` span whose attributes name the chosen
-    backend and the reason each faster backend was skipped
-    (:attr:`BackendCost.reason`), and counts on
-    ``evaluator.backend_choice{backend=<name>}``.
+    ``evaluator.choose_backend`` span whose ``chosen`` attribute names the
+    backend, and counts on ``evaluator.backend_choice{backend=<name>}``.
     """
-    recording = context.telemetry_enabled()
+    recording = _telemetry_enabled()
     span_ctx = (
         _trace(
             "evaluator.choose_backend",
@@ -875,65 +642,27 @@ def choose_backend(context: EvaluatorContext) -> str:
         else _NULL_SPAN
     )
     with span_ctx as span:
-        skipped: list[str] = []
-        for cls in _ranked_backends():
-            available, unavailable_reason = _availability(cls)
-            if not available:
-                if recording:
-                    skipped.append(f"{cls.name}: {unavailable_reason}")
-                continue
-            if cls.is_eligible(context):
-                if recording:
-                    span.set(chosen=cls.name, skipped=skipped)
-                    _telemetry_registry().counter(
-                        "evaluator.backend_choice", backend=cls.name
-                    ).add()
-                return cls.name
-            if recording:
-                skipped.append(f"{cls.name}: {_skip_reason(cls, context)}")
-    raise RuntimeError(
-        "no registered evaluation backend is eligible; registered backends: "
-        f"{registered_backends()}"
-    )
-
-
-def backend_costs(context: EvaluatorContext) -> tuple[BackendCost, ...]:
-    """The full cost-model report over every registered backend.
-
-    Unlike :func:`choose_backend` this measures every entry (including the
-    exact total support size), so it is meant for planning and reporting,
-    not for the evaluation hot path.  Backends whose availability probe
-    fails appear as ineligible entries whose ``reason`` records the probe
-    outcome, keeping the report consistent with what the automatic choice
-    actually skipped.
-    """
-    costs = []
-    for cls in _ranked_backends():
-        available, reason = _availability(cls)
-        if not available:
-            costs.append(
-                BackendCost(
-                    backend=cls.name,
-                    eligible=False,
-                    speed_rank=cls.speed_rank,
-                    memory_bytes=0,
-                    reason=reason,
-                )
-            )
-            continue
-        costs.append(cls.estimate_cost(context))
-    return tuple(costs)
+        if context.num_queries * context.domain_size <= context.config.cell_budget:
+            name = "dense"
+        elif context.config.workers >= 2:
+            name = "sharded"
+        elif context.supports_fit_budget():
+            name = "sparse"
+        else:
+            name = "streaming"
+        if recording:
+            span.set(chosen=name)
+            _telemetry_registry().counter("evaluator.backend_choice", backend=name).add()
+    return name
 
 
 # ---------------------------------------------------------------------- #
 # built-in serial backends
 # ---------------------------------------------------------------------- #
-@register_backend
 class DenseBackend(EvaluationBackend):
     """The full ``|Q| × |D|`` float64 query matrix; answers are one matmul."""
 
     name = "dense"
-    speed_rank = 0
 
     def __init__(self, context: EvaluatorContext):
         super().__init__(context)
@@ -941,24 +670,6 @@ class DenseBackend(EvaluationBackend):
         for row in range(context.num_queries):
             matrix[row] = context.query_values(row)
         self.matrix = matrix
-
-    @classmethod
-    def is_eligible(cls, context: EvaluatorContext) -> bool:
-        return context.num_queries * context.domain_size <= context.config.cell_budget
-
-    @classmethod
-    def estimate_cost(cls, context: EvaluatorContext) -> BackendCost:
-        cells = context.num_queries * context.domain_size
-        eligible = cells <= context.config.cell_budget
-        return BackendCost(
-            backend=cls.name,
-            eligible=eligible,
-            speed_rank=cls.speed_rank,
-            memory_bytes=8 * cells,
-            reason=""
-            if eligible
-            else f"|Q|*|D| = {cells} cells exceeds cell budget {context.config.cell_budget}",
-        )
 
     def answers_on_histogram(self, flat: np.ndarray) -> np.ndarray:
         return self.matrix @ flat
@@ -975,99 +686,21 @@ class DenseBackend(EvaluationBackend):
         return 8 * self.matrix.size
 
 
-@register_backend
 class StreamingBackend(EvaluationBackend):
     """No per-query state: chunked joint-domain scans recompute values on the fly."""
 
     name = "streaming"
-    speed_rank = 100
-
-    @classmethod
-    def is_eligible(cls, context: EvaluatorContext) -> bool:
-        return True
-
-    @classmethod
-    def estimate_cost(cls, context: EvaluatorContext) -> BackendCost:
-        return BackendCost(
-            backend=cls.name,
-            eligible=True,
-            speed_rank=cls.speed_rank,
-            memory_bytes=streaming_scratch_bytes(context),
-        )
-
-    def _prefetch_depth(self) -> int:
-        """How many chunks the decode may run ahead of the matvec (0 = inline)."""
-        return 0
 
     def answers_on_histogram(self, flat: np.ndarray) -> np.ndarray:
         context = self._context
-        answers = np.zeros(context.num_queries, dtype=np.float64)
-        # Chunk order and the per-chunk/per-query accumulation order are
-        # fixed by the iterator regardless of the prefetch depth, so the
-        # serial and pipelined scans produce bitwise-identical answers.
-        for start, stop, multi in iter_decoded_chunks(
+        return scan_answers(
             context.shape,
+            context.chunk_plans(),
+            flat,
             0,
             context.domain_size,
             context.config.chunk_size,
-            prefetch=self._prefetch_depth(),
-        ):
-            chunk = flat[start:stop]
-            for index in range(context.num_queries):
-                answers[index] += float(
-                    context.values_on_chunk(index, start, stop, multi=multi) @ chunk
-                )
-        return answers
+        )
 
     def estimated_memory(self) -> int:
         return streaming_scratch_bytes(self._context)
-
-
-@register_backend
-class PrefetchingStreamingBackend(StreamingBackend):
-    """Pipelined streaming: chunk decode double-buffered on a background thread.
-
-    Identical chunked re-scan to :class:`StreamingBackend` — same bounded
-    memory, same accumulation order, bitwise-identical answers — but the
-    flat-to-multi decode of chunk ``k+1`` runs on a decode thread while the
-    main thread computes the per-query weight products and matvec of chunk
-    ``k``.  One decoded multi-index buffer is shared by every query in a
-    chunk, so decode work is per chunk, not per query.  The ``workers``
-    knob sets the look-ahead depth (how many decoded chunks may be in
-    flight); the default of 1 is classic double buffering.
-
-    Eligible for the automatic choice whenever the host has a second core
-    to decode on; ranked just ahead of the serial streaming scan, so
-    ``mode="auto"`` picks it exactly where streaming would otherwise win.
-    """
-
-    name = "prefetch"
-    speed_rank = 90
-
-    @classmethod
-    def is_eligible(cls, context: EvaluatorContext) -> bool:
-        return effective_cpu_count() >= 2
-
-    @classmethod
-    def estimate_cost(cls, context: EvaluatorContext) -> BackendCost:
-        eligible = cls.is_eligible(context)
-        return BackendCost(
-            backend=cls.name,
-            eligible=eligible,
-            speed_rank=cls.speed_rank,
-            memory_bytes=cls._scratch_bytes(context),
-            reason="" if eligible else "needs >= 2 cores to overlap decode with compute",
-        )
-
-    @classmethod
-    def _scratch_bytes(cls, context: EvaluatorContext) -> int:
-        # Peak in-flight decoded chunks: `depth` queued, one in the decode
-        # thread's hand (decoded before a blocked put), one being consumed.
-        depth = max(1, context.config.workers)
-        return streaming_scratch_bytes(context) * (depth + 2)
-
-    def _prefetch_depth(self) -> int:
-        return self._workers
-
-    def estimated_memory(self) -> int:
-        return self._scratch_bytes(self._context)

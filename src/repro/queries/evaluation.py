@@ -1,10 +1,10 @@
 """Exact workload evaluation and error reporting.
 
 :class:`WorkloadEvaluator` answers a whole workload against instances and
-joint-domain histograms.  It is a thin facade over the pluggable
-:class:`~repro.queries.backends.EvaluationBackend` registry; the built-in
-backends trade memory for speed behind one interface, so the release
-algorithms never care which one is active:
+joint-domain histograms.  It is a thin facade over five
+:class:`~repro.queries.backends.EvaluationBackend` classes, named in
+:data:`BACKENDS`; they trade memory for speed behind one interface, so the
+release algorithms never care which one is active:
 
 ``dense``
     Pre-computes the full ``|Q| × |D|`` float64 query matrix so every
@@ -30,14 +30,6 @@ algorithms never care which one is active:
     fixed-size chunks and recompute query values on the fly.  Slowest, but
     the extra memory is bounded by the chunk size regardless of ``|Q|`` or
     ``|D|``.
-``prefetch``
-    The streaming re-scan pipelined: a background thread decodes chunk
-    ``k+1`` while the per-query weight products and matvec of chunk ``k``
-    run, so the two stages overlap instead of alternating.  Answers are
-    bitwise identical to ``streaming``; memory stays chunk-bounded (one
-    extra in-flight chunk per unit of look-ahead, set by ``workers``).
-    Auto-eligible whenever the host has at least two cores, ranked just
-    ahead of the serial streaming scan.
 ``domain``
     The joint domain itself partitioned into contiguous slices, one per
     pool worker, each backed by its own shared-memory segment of
@@ -54,19 +46,17 @@ Iterated evaluation drives a :class:`~repro.queries.backends.HistogramSession`
 which the histogram storage is private to the backend.  Sessions are opened
 via :meth:`WorkloadEvaluator.histogram_session`, either from a concrete
 array or from a declarative :class:`~repro.queries.backends.HistogramSeed`
-(uniform total or per-slice initializer), which partitioned backends
-realise slice-locally so the parent never allocates ``|D|`` cells.
+(uniform total), which partitioned backends realise slice-locally so the
+parent never allocates ``|D|`` cells.
 
-The default (``mode="auto"``) runs the registry's explicit cost model
-(:func:`~repro.queries.backends.choose_backend`): every registered backend
-reports eligibility against the configured cell budgets — dense while
-``|Q|·|D|`` fits the matrix budget, sparse/sharded while the *measured*
-total support fits the sparse budget (an einsum over the non-zero
-indicators of the per-relation weights, never materialising the joint
-domain), streaming always — and the fastest eligible backend wins.  The
-choice (and any dense matrix build) is deferred until the first histogram
-evaluation or support request, so instance-only consumers pay nothing for
-it.  :func:`register_backend` adds custom backends to the same model.
+The default (``mode="auto"``) applies one rule
+(:func:`~repro.queries.backends.choose_backend`): ``dense`` while
+``|Q|·|D|`` fits the matrix budget, else ``sharded`` with ``workers >= 2``,
+else ``sparse`` while the *measured* total support fits the sparse budget
+(an einsum over the non-zero indicators of the per-relation weights, never
+materialising the joint domain), else ``streaming``.  The choice (and any
+dense matrix build) is deferred until the first histogram evaluation or
+support request, so instance-only consumers pay nothing for it.
 
 :func:`shared_evaluator` memoises evaluators on the workload object itself
 (one per ``(backend, workers)``), so repeated release invocations over the
@@ -84,27 +74,46 @@ from repro.queries.backends import (
     _DEFAULT_CHUNK_SIZE,
     _MATRIX_CELL_BUDGET,
     _SPARSE_CELL_BUDGET,
-    BackendCost,
     DenseBackend,
     EvaluationBackend,
     EvaluatorConfig,
     EvaluatorContext,
     HistogramSeed,
     HistogramSession,
-    backend_class,
-    backend_costs,
+    StreamingBackend,
     choose_backend,
-    register_backend,
-    registered_backends,
-    unregister_backend,
 )
+from repro.queries.sharded import DomainShardedBackend, ShardedBackend
+from repro.queries.vectorized import SparseBackend
 from repro.queries.workload import Workload
 from repro.relational.instance import Instance
-from repro.telemetry import registry as _telemetry_registry
+from repro.telemetry import (
+    is_enabled as _telemetry_enabled,
+    registry as _telemetry_registry,
+)
 
-# Importing the modules registers the sparse, sharded and domain backends.
-import repro.queries.vectorized  # noqa: F401  (registration side effect)
-import repro.queries.sharded  # noqa: F401  (registration side effect)
+#: Every evaluation backend by mode name.
+BACKENDS: dict[str, type[EvaluationBackend]] = {
+    cls.name: cls
+    for cls in (
+        DenseBackend,
+        SparseBackend,
+        ShardedBackend,
+        DomainShardedBackend,
+        StreamingBackend,
+    )
+}
+
+
+def backend_class(name: str) -> type[EvaluationBackend]:
+    """The backend class of a mode name; unknown names raise ``ValueError``."""
+    try:
+        return BACKENDS[name]
+    except KeyError:
+        raise ValueError(
+            f"unknown evaluator backend {name!r}; expected one of "
+            f"{('auto',) + tuple(BACKENDS)}"
+        ) from None
 
 
 @dataclass(frozen=True)
@@ -184,31 +193,23 @@ class WorkloadEvaluator:
     workload:
         The query family.
     mode / backend:
-        ``"auto"`` or any registered backend name (``"dense"``,
-        ``"sparse"``, ``"sharded"``, ``"domain"``, ``"streaming"``,
-        ``"prefetch"``, plus custom registrations); see the module
+        ``"auto"`` or a backend name (``"dense"``, ``"sparse"``,
+        ``"sharded"``, ``"domain"``, ``"streaming"``); see the module
         docstring for the trade-offs.
         ``backend`` is an alias of ``mode`` matching the release-algorithm
         knob; when neither is given the process-wide default applies.
-        ``"auto"`` (the default) runs the registry cost model and picks the
-        fastest backend that fits the cell budgets.
+        ``"auto"`` (the default) applies the automatic-choice rule.
     cell_budget / sparse_cell_budget:
         Override the dense-matrix and total-support budgets used by the
-        cost model.
+        automatic choice.
     chunk_size:
         Joint-domain chunk length used by streaming scans and chunked
         support construction.
     workers:
         Worker-process count for the sharded and domain backends
-        (``workers >= 2`` also makes ``sharded`` eligible for the
-        automatic choice; ``domain`` sizes its per-slice segments by it)
-        and the decode look-ahead depth of the prefetching streaming
-        backend.
-    telemetry:
-        Per-evaluator instrumentation scope: ``None`` follows the global
-        :func:`repro.telemetry.configure` switch, ``False`` keeps this
-        evaluator silent even while the global switch is on, ``True``
-        documents an opt-in (recording still requires the global switch).
+        (``workers >= 2`` also makes the automatic choice pick ``sharded``
+        once the dense matrix is priced out; ``domain`` sizes its
+        per-slice segments by it).
     """
 
     def __init__(
@@ -221,7 +222,6 @@ class WorkloadEvaluator:
         sparse_cell_budget: int = _SPARSE_CELL_BUDGET,
         chunk_size: int = _DEFAULT_CHUNK_SIZE,
         workers: int | None = None,
-        telemetry: bool | None = None,
     ):
         name = backend if backend is not None else mode
         if name is None:
@@ -245,7 +245,6 @@ class WorkloadEvaluator:
                 sparse_cell_budget=int(sparse_cell_budget),
                 chunk_size=int(chunk_size),
                 workers=int(workers),
-                telemetry=telemetry,
             ),
         )
         self._backend: EvaluationBackend | None = None
@@ -354,7 +353,7 @@ class WorkloadEvaluator:
         """
         backend = self._resolve_backend()
         flat = self._validated_flat(histogram)
-        if not self._context.telemetry_enabled():
+        if not _telemetry_enabled():
             return backend.answers_on_histogram(flat)
         with _telemetry_registry().timer("evaluator.eval_seconds", backend=backend.name):
             return backend.answers_on_histogram(flat)
@@ -399,34 +398,6 @@ class WorkloadEvaluator:
             self._backend.close()
 
 
-# ---------------------------------------------------------------------- #
-# cost-model helpers
-# ---------------------------------------------------------------------- #
-def evaluator_backend_costs(
-    workload: Workload,
-    *,
-    cell_budget: int = _MATRIX_CELL_BUDGET,
-    sparse_cell_budget: int = _SPARSE_CELL_BUDGET,
-    chunk_size: int = _DEFAULT_CHUNK_SIZE,
-    workers: int = 1,
-) -> tuple[BackendCost, ...]:
-    """The full cost-model report over every registered backend.
-
-    Measures the exact total support size, so it is meant for planning and
-    reporting rather than the evaluation hot path.
-    """
-    context = EvaluatorContext(
-        workload,
-        EvaluatorConfig(
-            cell_budget=cell_budget,
-            sparse_cell_budget=sparse_cell_budget,
-            chunk_size=chunk_size,
-            workers=workers,
-        ),
-    )
-    return backend_costs(context)
-
-
 def auto_evaluator_mode(
     workload: Workload,
     *,
@@ -436,8 +407,7 @@ def auto_evaluator_mode(
 ) -> str:
     """The backend ``mode="auto"`` would pick, without building any backend.
 
-    Runs the registry's public cost model (eligibility probes in speed-rank
-    order, so only the measurements that matter are taken) — no dense
+    Applies :func:`~repro.queries.backends.choose_backend` — no dense
     matrix, no supports; useful for planning and reporting.
     """
     context = EvaluatorContext(

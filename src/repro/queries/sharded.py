@@ -21,9 +21,10 @@ Two sharding strategies mirror the serial backends:
     PMW query selections reproducible across ``workers`` settings.
 ``chunked``
     Beyond the sparse budget, the joint domain is split into contiguous
-    chunk-aligned ranges and each worker runs the streaming re-scan over
-    its range (answers agree with serial streaming to float addition
-    reassociation, i.e. well within 1e-9 relative).
+    chunk-aligned ranges and each worker runs the chunked scan
+    (:func:`~repro.queries.backends.scan_answers`) over its range (answers
+    agree with serial streaming to float addition reassociation, i.e. well
+    within 1e-9 relative).
 
 :class:`DomainShardedBackend` (``mode="domain"``) partitions the *domain*
 instead of the query rows: each shard owns one contiguous slice of the
@@ -61,7 +62,7 @@ evaluation raises.  Restarts count on ``pool.restarts{backend=<name>}``.
 (:func:`repro.telemetry.configure`), each pool worker is handed a flush
 queue through the pool initializer and records into its *own* per-process
 registry (task counts, per-shard evaluation seconds, mapped shared-memory
-bytes, chunk-decode timings from the scan iterator).  A
+bytes, chunk-decode timings from the chunked scan).  A
 ``multiprocessing.util.Finalize`` hook — pool workers exit through
 ``os._exit`` and skip ``atexit`` — flushes each worker's snapshot onto the
 queue at worker shutdown; :func:`_shutdown` drains the queue after the pool
@@ -81,12 +82,10 @@ from multiprocessing import shared_memory
 import numpy as np
 
 from repro.queries.backends import (
-    BackendCost,
     EvaluatorContext,
     HistogramSeed,
     HistogramSession,
-    iter_decoded_chunks,
-    register_backend,
+    scan_answers,
     streaming_scratch_bytes,
 )
 from repro.queries.vectorized import (
@@ -160,33 +159,6 @@ def _init_worker(
     _WORKER_STATES[key] = state
 
 
-def _scan_range(
-    state: dict, histogram: np.ndarray, start: int, end: int, offset: int
-) -> np.ndarray:
-    """Streaming partial sums of ``[start, end)`` against ``histogram``.
-
-    ``histogram`` holds the cells of that range starting at flat index
-    ``offset`` (0 for the single shared histogram, the slice start for a
-    domain segment).  The same prefetch iterator as the streaming
-    backends: the worker decodes its next chunk on a background thread
-    while the weight products and matvec of the current one run, and the
-    decoded multi-index buffer is shared by every query in the chunk.
-    Chunk and accumulation order are unchanged, so answers stay
-    deterministic.
-    """
-    answers = np.zeros(state["num_queries"], dtype=np.float64)
-    for chunk_start, chunk_stop, multi in iter_decoded_chunks(
-        state["shape"], start, end, state["chunk_size"], prefetch=1
-    ):
-        chunk = histogram[chunk_start - offset : chunk_stop - offset]
-        for index, plan in enumerate(state["plans"]):
-            values = np.ones(chunk_stop - chunk_start, dtype=np.float64)
-            for axes, weights in plan:
-                values = values * weights[tuple(multi[axis] for axis in axes)]
-            answers[index] += float(values @ chunk)
-    return answers
-
-
 def _eval_shard(key: int, shard_id: int) -> np.ndarray:
     """Partial answer vector of one shard against the shared histogram(s).
 
@@ -214,7 +186,10 @@ def _eval_shard_impl(key: int, shard_id: int) -> np.ndarray:
         if state["representation"] == "csr":
             return state["slice_matrices"][shard_id] @ histogram
         start, end = state["slices"][shard_id]
-        return _scan_range(state, histogram, start, end, offset=start)
+        return scan_answers(
+            state["shape"], state["plans"], histogram, start, end,
+            state["chunk_size"], offset=start,
+        )
     histogram = state["histograms"][0]
     if strategy == "csr":
         # The shard's rows as one CSR matvec: each row accumulates in the
@@ -224,7 +199,9 @@ def _eval_shard_impl(key: int, shard_id: int) -> np.ndarray:
         partial[row_lo:row_hi] = state["shard_kernels"][shard_id] @ histogram
         return partial
     start, end = state["ranges"][shard_id]
-    return _scan_range(state, histogram, start, end, offset=0)
+    return scan_answers(
+        state["shape"], state["plans"], histogram, start, end, state["chunk_size"]
+    )
 
 
 def _new_pool(workers: int, pool_spec: tuple) -> ProcessPoolExecutor:
@@ -308,14 +285,13 @@ class ShardedHistogramSession(IncrementalHistogramSession):
         self._backend._session_open = False
 
 
-@register_backend
 class ShardedBackend(SparseBackend):
     """Row-sharded parallel evaluation over a persistent process pool."""
 
     name = "sharded"
-    #: Between dense (one vectorised matmul) and serial sparse: with ≥ 2
-    #: workers the CSR matvec parallelises across shards.
-    speed_rank = 10
+    #: Resident bytes per support entry of the ``csr`` strategy: the packed
+    #: int64 index and float64 value.
+    _bytes_per_entry = 16
 
     def __init__(self, context: EvaluatorContext):
         super().__init__(context)
@@ -331,43 +307,10 @@ class ShardedBackend(SparseBackend):
         self._finalizer: weakref.finalize | None = None
         self._session_open = False
 
-    # -- cost model -------------------------------------------------------
     @classmethod
     def normalize_workers(cls, workers: int) -> int:
         """Sharded implies parallelism: the worker count floors at two."""
         return max(2, super().normalize_workers(workers))
-
-    @classmethod
-    def is_eligible(cls, context: EvaluatorContext) -> bool:
-        # Only the explicit ``workers`` knob opts into spawning processes;
-        # both sharding strategies cover the whole size range.
-        return context.config.workers >= 2
-
-    @classmethod
-    def _resident_bytes(cls, context: EvaluatorContext) -> int:
-        """One formula for both the cost model and ``estimated_memory``.
-
-        Uses the worker count a built backend would actually run with
-        (:meth:`normalize_workers`, since sharded implies parallelism).
-        """
-        workers = cls.normalize_workers(context.config.workers)
-        if context.supports_fit_budget():
-            resident = 16 * context.total_support_size()
-        else:
-            # Each chunked-strategy worker pipelines its scan (prefetch=1 in
-            # ``_eval_shard``): one chunk being consumed, one queued, one in
-            # the decode thread's hand.
-            resident = streaming_scratch_bytes(context) * workers * 3
-        return resident + 8 * context.domain_size
-
-    @classmethod
-    def estimate_cost(cls, context: EvaluatorContext) -> BackendCost:
-        return BackendCost(
-            backend=cls.name,
-            eligible=context.config.workers >= 2,
-            speed_rank=cls.speed_rank,
-            memory_bytes=cls._resident_bytes(context),
-        )
 
     # -- pool management --------------------------------------------------
     @property
@@ -421,13 +364,12 @@ class ShardedBackend(SparseBackend):
             }
         )
         ranges = [(bounds[i], bounds[i + 1]) for i in range(len(bounds) - 1)]
-        plans = [context.chunk_plan(index) for index in range(context.num_queries)]
         state = {
             "strategy": "chunked",
             "num_queries": context.num_queries,
             "shape": context.shape,
             "chunk_size": chunk_size,
-            "plans": plans,
+            "plans": context.chunk_plans(),
             "ranges": ranges,
         }
         return state, len(ranges)
@@ -472,7 +414,7 @@ class ShardedBackend(SparseBackend):
             mp_context = multiprocessing.get_context("fork" if use_fork else "spawn")
             telemetry_queue = None
             telemetry_init = None
-            if self._context.telemetry_enabled():
+            if _telemetry_enabled():
                 # The flush queue travels through initargs — the sanctioned
                 # inheritance channel under both fork and spawn.
                 telemetry_queue = create_flush_queue(mp_context)
@@ -523,7 +465,7 @@ class ShardedBackend(SparseBackend):
         self._finalizer = weakref.finalize(self, _shutdown, executor, *teardown)
         self._executor = executor
         _stop_pool(broken)
-        if self._context.telemetry_enabled():
+        if _telemetry_enabled():
             _telemetry_registry().counter("pool.restarts", backend=self.name).add()
 
     def _gather(self) -> np.ndarray:
@@ -545,7 +487,7 @@ class ShardedBackend(SparseBackend):
         resubmitted; a second break raises ``BrokenProcessPool``.
         """
         assert self._executor is not None and self._key is not None
-        if self._context.telemetry_enabled():
+        if _telemetry_enabled():
             _telemetry_registry().counter(
                 "sharded.dispatches", backend=self.name
             ).add()
@@ -597,18 +539,24 @@ class ShardedBackend(SparseBackend):
                 "(there is a single shared-memory histogram); close it before "
                 "opening another"
             )
-        # Uniform and per-slice seeds are written straight into the shared
-        # segment — no |D|-sized temporary in between.
-        view = self._histogram_view()
-        if seed.is_uniform:
-            view.fill(seed.cell_value(self._context.domain_size))
-        else:
-            view[:] = seed.cells(0, view.size, self._context.domain_size)
+        # A uniform seed is written straight into the shared segment — no
+        # |D|-sized temporary in between.
+        self._histogram_view().fill(seed.cell_value(self._context.domain_size))
         self._session_open = True
         return ShardedHistogramSession(self)
 
     def estimated_memory(self) -> int:
-        return self._resident_bytes(self._context)
+        """The supports (or one scan chunk per worker) plus one histogram.
+
+        The per-slice segments of ``domain`` jointly hold exactly one
+        histogram too.
+        """
+        context = self._context
+        if context.supports_fit_budget():
+            resident = self._bytes_per_entry * context.total_support_size()
+        else:
+            resident = streaming_scratch_bytes(context) * self._workers
+        return resident + 8 * context.domain_size
 
     def close(self) -> None:
         """Shut down the worker pool and unlink every shared-memory segment."""
@@ -716,7 +664,6 @@ class DomainHistogramSession(HistogramSession):
         self._backend._session_open = False
 
 
-@register_backend
 class DomainShardedBackend(ShardedBackend):
     """Domain-partitioned parallel evaluation: each shard owns a domain slice.
 
@@ -731,50 +678,21 @@ class DomainShardedBackend(ShardedBackend):
     total support fits the sparse budget the concatenated CSR entries are
     split at the slice bounds with flat indices re-indexed slice-locally
     (``representation == "csr"``); beyond it each shard runs the chunked
-    streaming re-scan over its (chunk-aligned) slice
+    scan over its (chunk-aligned) slice
     (``representation == "chunked"``).
 
     Cross-slice answer sums reassociate float additions, so answers match
     the serial sparse backend to 1e-9 relative rather than bitwise; PMW
     query selections remain bitwise reproducible under a fixed seed (the
     E18 benchmark asserts both).  Opt-in only (``mode="domain"``): the
-    automatic cost model keeps preferring the bitwise-parity sharded
-    backend, so this strategy is chosen exactly where the histogram's own
-    footprint is the constraint.
+    automatic choice keeps preferring the bitwise-parity sharded backend,
+    so this strategy is chosen exactly where the histogram's own footprint
+    is the constraint.
     """
 
     name = "domain"
-    #: Just behind row-sharded CSR: the same parallel matvec, plus the
-    #: per-op slice bookkeeping of the partitioned session.
-    speed_rank = 12
-
-    # -- cost model -------------------------------------------------------
-    @classmethod
-    def is_eligible(cls, context: EvaluatorContext) -> bool:
-        # Opt-in only: explicit ``mode="domain"``.  Auto keeps preferring
-        # the sharded backend's bitwise parity while one |D| histogram is
-        # affordable; the partitioned layout is for when it is not.
-        return False
-
-    @classmethod
-    def _resident_bytes(cls, context: EvaluatorContext) -> int:
-        workers = cls.normalize_workers(context.config.workers)
-        if context.supports_fit_budget():
-            # The global CSR plus the slice-local re-indexed copy.
-            resident = 32 * context.total_support_size()
-        else:
-            resident = streaming_scratch_bytes(context) * workers * 3
-        # The per-slice segments jointly hold exactly one histogram.
-        return resident + 8 * context.domain_size
-
-    @classmethod
-    def estimate_cost(cls, context: EvaluatorContext) -> BackendCost:
-        return BackendCost(
-            backend=cls.name,
-            eligible=cls.is_eligible(context),
-            speed_rank=cls.speed_rank,
-            memory_bytes=cls._resident_bytes(context),
-        )
+    #: The global CSR plus the slice-local re-indexed copy.
+    _bytes_per_entry = 32
 
     # -- pool management --------------------------------------------------
     @property
@@ -805,9 +723,7 @@ class DomainShardedBackend(ShardedBackend):
             )
             state["shape"] = context.shape
             state["chunk_size"] = context.config.chunk_size
-            state["plans"] = [
-                context.chunk_plan(index) for index in range(context.num_queries)
-            ]
+            state["plans"] = context.chunk_plans()
         state["slices"] = slices
         return state, len(slices), slices
 
@@ -861,8 +777,7 @@ class DomainShardedBackend(ShardedBackend):
             for _lo, _hi, view in self._slice_views():
                 view.fill(value)
         else:
-            # Array and per-slice seeds are realised one slice at a time —
-            # the parent never builds the seed as one |D| buffer.
+            # An array seed is copied one slice at a time.
             for lo, hi, view in self._slice_views():
                 view[:] = seed.cells(lo, hi, domain_size)
         self._session_open = True

@@ -32,14 +32,13 @@ from scipy import sparse
 
 from repro.queries.backends import (
     ArrayHistogramSession,
-    BackendCost,
     EvaluationBackend,
     EvaluatorContext,
     HistogramSession,
-    register_backend,
 )
 from repro.telemetry import (
     NULL_SPAN as _NULL_SPAN,
+    is_enabled as _telemetry_enabled,
     registry as _telemetry_registry,
     trace as _trace,
 )
@@ -222,7 +221,6 @@ def slice_matrix(packed: PackedWorkload, lo: int, hi: int) -> sparse.csr_matrix:
     )
 
 
-@register_backend
 class SparseBackend(EvaluationBackend):
     """One CSR support per query; answers are one packed CSR matvec.
 
@@ -232,7 +230,6 @@ class SparseBackend(EvaluationBackend):
     """
 
     name = "sparse"
-    speed_rank = 20
     caches_all_supports = True
 
     def __init__(self, context: EvaluatorContext):
@@ -240,26 +237,6 @@ class SparseBackend(EvaluationBackend):
         self._packed: PackedWorkload | None = None
         self._matrix: sparse.csr_matrix | None = None
         self._columns: ColumnView | None = None
-
-    # -- cost model -------------------------------------------------------
-    @classmethod
-    def is_eligible(cls, context: EvaluatorContext) -> bool:
-        return context.supports_fit_budget()
-
-    @classmethod
-    def estimate_cost(cls, context: EvaluatorContext) -> BackendCost:
-        total = context.total_support_size()
-        eligible = total <= context.config.sparse_cell_budget
-        return BackendCost(
-            backend=cls.name,
-            eligible=eligible,
-            speed_rank=cls.speed_rank,
-            memory_bytes=16 * total,
-            reason=""
-            if eligible
-            else f"total support {total} exceeds sparse cell budget "
-            f"{context.config.sparse_cell_budget}",
-        )
 
     # -- packed representation --------------------------------------------
     def _concatenated_supports(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -298,7 +275,7 @@ class SparseBackend(EvaluationBackend):
 
     def _ensure_packed(self) -> PackedWorkload:
         if self._packed is None:
-            recording = self._context.telemetry_enabled()
+            recording = _telemetry_enabled()
             cache = self._context.workload.private_cache(_CACHE_NAME)
             packed = cache.get("packed")
             if packed is None or packed.num_queries != self._context.num_queries:
@@ -329,7 +306,7 @@ class SparseBackend(EvaluationBackend):
 
     def _cached(self, key, span_name: str, build, **attributes):
         """``build()`` once per workload, cached under ``key`` next to the packing."""
-        recording = self._context.telemetry_enabled()
+        recording = _telemetry_enabled()
         cache = self._context.workload.private_cache(_CACHE_NAME)
         value = cache.get(key)
         if recording:

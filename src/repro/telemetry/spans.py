@@ -91,7 +91,7 @@ class SpanRing:
     Keeps the newest ``capacity`` records; older ones fall off the front and
     are only counted (``dropped``), so the ring is safe to leave attached to
     arbitrarily long runs.  Thread-safe: spans finish on whatever thread ran
-    them (the prefetch decode thread included).
+    them.
     """
 
     def __init__(self, capacity: int = 16384, epoch_ns: int | None = None) -> None:

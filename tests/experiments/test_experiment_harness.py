@@ -28,7 +28,6 @@ from repro.experiments import (
     e14_privacy_audit,
     e15_evaluator_scaling,
     e16_sharded_evaluation,
-    e17_streaming_prefetch,
     e18_domain_partitioned,
     e20_observability,
 )
@@ -37,7 +36,7 @@ from repro.experiments import (
 class TestRegistry:
     def test_all_experiments_registered_and_described(self):
         assert set(EXPERIMENTS) == set(DESCRIPTIONS)
-        assert len(EXPERIMENTS) == 19
+        assert len(EXPERIMENTS) == 18
         for name, runner in EXPERIMENTS.items():
             assert callable(runner), name
 
@@ -190,29 +189,6 @@ class TestIndividualExperiments:
         assert result["answers_match"], result["max_abs_diff"]
         assert result["selections_match"]
         assert result["histograms_match"]
-
-    def test_e17_streaming_prefetch(self):
-        result = e17_streaming_prefetch.run(
-            size_a=8,
-            size_b=4,
-            size_c=8,
-            num_queries=3,
-            prefetch_depth=2,
-            eval_repeats=1,
-            pmw_rounds=2,
-            tuples_per_relation=60,
-            chunk_size=64,
-            seed=0,
-        )
-        assert {row["backend"] for row in result["rows"]} == {"streaming", "prefetch"}
-        assert result["num_chunks"] > 1
-        # The pipeline contract holds even at smoke size: answers and PMW
-        # walks are bitwise identical to the serial streaming scan, and the
-        # cost model upgrades streaming exactly when a second core exists.
-        assert result["answers_bitwise"], result["max_abs_diff"]
-        assert result["selections_match"]
-        assert result["histograms_match"]
-        assert result["auto_consistent"], result["auto_mode"]
 
     def test_e18_domain_partitioned(self):
         result = e18_domain_partitioned.run(

@@ -1,12 +1,10 @@
-"""Backend registry, cost model, and cross-backend parity tests.
+"""Backend name table and cross-backend parity tests.
 
-Every registered evaluation backend — including the sharded
-multiprocessing backend with 2 workers — must be interchangeable: identical
-instance answers, histogram answers within 1e-9 (bitwise for the sharded
-CSR strategy vs serial sparse), supports that round-trip to the dense query
-vectors, and an automatic choice that agrees with the public cost model.
-The shared-evaluator cache must die with its workload, and custom backends
-registered through the public API must participate in the automatic choice.
+Every evaluation backend — including the sharded multiprocessing backend
+with 2 workers — must be interchangeable: identical instance answers,
+histogram answers within 1e-9 (bitwise for the sharded CSR strategy vs
+serial sparse), and supports that round-trip to the dense query vectors.
+The shared-evaluator cache must die with its workload.
 """
 
 from __future__ import annotations
@@ -23,17 +21,13 @@ from repro.queries.backends import (
     EvaluatorContext,
     HistogramSeed,
     iter_decoded_chunks,
-    register_backend,
-    unregister_backend,
 )
 from repro.queries.sharded import ShardedBackend
-from repro.queries.vectorized import SparseBackend
 from repro.queries.evaluation import (
+    BACKENDS,
     WorkloadEvaluator,
     auto_evaluator_mode,
-    evaluator_backend_costs,
     get_default_backend,
-    registered_backends,
     set_default_backend,
     shared_evaluator,
 )
@@ -46,7 +40,6 @@ _BUILTIN_BACKENDS = {
     "sparse",
     "sharded",
     "streaming",
-    "prefetch",
     "domain",
 }
 
@@ -82,9 +75,9 @@ def _random_instance(workload: Workload, rng: np.random.Generator) -> Instance:
     return Instance.from_tuple_lists(query, tuples)
 
 
-class TestRegistry:
-    def test_builtin_backends_registered(self):
-        assert _BUILTIN_BACKENDS == set(registered_backends())
+class TestBackendTable:
+    def test_builtin_backends_named(self):
+        assert _BUILTIN_BACKENDS == set(BACKENDS)
 
     def test_unknown_backend_rejected(self):
         workload = _random_workload(0)
@@ -93,99 +86,24 @@ class TestRegistry:
         with pytest.raises(ValueError):
             set_default_backend("magic")
 
-    def test_custom_backend_joins_cost_model(self):
-        """A registered custom backend is constructible and auto-choosable."""
+    def test_removed_prefetch_mode_rejected(self):
         workload = _random_workload(0)
-        reference = WorkloadEvaluator(workload, mode="dense")
-        histogram = np.random.default_rng(5).random(workload.join_query.shape)
-
-        @register_backend
-        class EchoBackend(SparseBackend):
-            name = "test-echo"
-            speed_rank = -1  # beats dense, so "auto" must pick it
-
-        try:
-            assert "test-echo" in registered_backends()
-            assert auto_evaluator_mode(workload) == "test-echo"
-            evaluator = WorkloadEvaluator(workload, mode="test-echo")
-            assert np.allclose(
-                evaluator.answers_on_histogram(histogram),
-                reference.answers_on_histogram(histogram),
-                atol=1e-9,
-            )
-        finally:
-            unregister_backend("test-echo")
-        assert "test-echo" not in registered_backends()
-        assert auto_evaluator_mode(workload) == "dense"
-
-    def test_duplicate_mode_name_rejected(self):
-        """A second class under an existing mode name is an error, not a
-        silent replacement; re-registering the same class is a no-op."""
-
-        @register_backend
-        class FirstBackend(SparseBackend):
-            name = "test-dup"
-            speed_rank = 500
-
-        try:
-            assert register_backend(FirstBackend) is FirstBackend  # idempotent
-            with pytest.raises(ValueError, match="already registered"):
-
-                @register_backend
-                class SecondBackend(SparseBackend):
-                    name = "test-dup"
-                    speed_rank = 501
-
-        finally:
-            unregister_backend("test-dup")
-        assert "test-dup" not in registered_backends()
-
-    @pytest.mark.parametrize("probe_style", ["returns-false", "raises"])
-    def test_unavailable_backend_skipped_not_fatal(self, probe_style):
-        """A backend whose availability probe fails (returns False or raises,
-        e.g. a broken optional dependency) drops out of the automatic choice
-        without aborting it, and the cost report records why."""
-        workload = _random_workload(0)
-
-        @register_backend
-        class BrokenBackend(SparseBackend):
-            name = "test-broken"
-            speed_rank = -2  # would beat every builtin if it were available
-
-            @classmethod
-            def is_available(cls):
-                if probe_style == "raises":
-                    raise ImportError("optional dependency is broken")
-                return False
-
-        try:
-            # The auto choice quietly falls through to the fastest builtin.
-            assert auto_evaluator_mode(workload) == "dense"
-            costs = {cost.backend: cost for cost in evaluator_backend_costs(workload)}
-            entry = costs["test-broken"]
-            assert not entry.eligible
-            if probe_style == "raises":
-                assert "ImportError" in entry.reason
-                assert "optional dependency is broken" in entry.reason
-            else:
-                assert entry.reason == "availability probe returned False"
-            # Eligible entries carry no reason.
-            assert costs["dense"].eligible and costs["dense"].reason == ""
-        finally:
-            unregister_backend("test-broken")
+        with pytest.raises(ValueError, match="unknown evaluator backend"):
+            WorkloadEvaluator(workload, mode="prefetch")
+        with pytest.raises(ValueError, match="unknown evaluator backend"):
+            set_default_backend("prefetch")
+        assert get_default_backend() == ("auto", 1)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
 class TestBackendParity:
-    """Property-style parity across every registered backend."""
+    """Property-style parity across every backend."""
 
     def _evaluators(self, workload):
-        evaluators = {
+        return {
             name: WorkloadEvaluator(workload, mode=name, workers=2, chunk_size=16)
-            for name in registered_backends()
+            for name in BACKENDS
         }
-        assert _BUILTIN_BACKENDS <= set(evaluators)
-        return evaluators
 
     def test_answers_and_supports_agree(self, seed):
         workload = _random_workload(seed)
@@ -214,12 +132,6 @@ class TestBackendParity:
                 assert np.array_equal(
                     evaluators["sharded"].answers_on_histogram(histogram), sparse_answers
                 )
-                # The pipelined scan shares the serial streaming scan's chunk
-                # and accumulation order, so it too is bitwise identical.
-                assert np.array_equal(
-                    evaluators["prefetch"].answers_on_histogram(histogram),
-                    evaluators["streaming"].answers_on_histogram(histogram),
-                )
             for index in range(len(workload)):
                 dense_vector = evaluators["dense"].query_values(index)
                 for name, evaluator in evaluators.items():
@@ -234,8 +146,13 @@ class TestBackendParity:
             for evaluator in evaluators.values():
                 evaluator.close()
 
-    def test_auto_choice_matches_cost_model(self, seed):
+
+    def test_auto_choice_follows_the_rule(self, seed):
+        """``auto`` picks the first of dense / sharded / sparse / streaming
+        whose condition holds, and the constructor agrees with the planner."""
         workload = _random_workload(seed)
+        dense_cells = len(workload) * workload.join_query.joint_domain_size
+        total_support = WorkloadEvaluator(workload, mode="sparse").total_support_size()
         for kwargs in (
             {},
             {"cell_budget": 10},
@@ -243,14 +160,41 @@ class TestBackendParity:
             {"cell_budget": 10, "workers": 2},
             {"cell_budget": 10, "sparse_cell_budget": 10, "workers": 2},
         ):
-            chosen = auto_evaluator_mode(workload, **kwargs)
-            costs = evaluator_backend_costs(workload, **kwargs)
-            eligible = [cost for cost in costs if cost.eligible]
-            assert eligible, kwargs
-            assert chosen == min(eligible, key=lambda cost: cost.speed_rank).backend, kwargs
+            if dense_cells <= kwargs.get("cell_budget", dense_cells):
+                expected = "dense"
+            elif kwargs.get("workers", 1) >= 2:
+                expected = "sharded"
+            elif total_support <= kwargs.get("sparse_cell_budget", total_support):
+                expected = "sparse"
+            else:
+                expected = "streaming"
+            assert auto_evaluator_mode(workload, **kwargs) == expected, kwargs
             constructed = WorkloadEvaluator(workload, **kwargs)
-            assert constructed.mode == chosen, kwargs
-            constructed.close()
+            try:
+                assert constructed.mode == expected, kwargs
+            finally:
+                constructed.close()
+
+
+class TestStreamingScan:
+    @pytest.mark.parametrize("chunk_size", [1, 5, 16, 121])
+    def test_chunk_size_does_not_change_answers(self, chunk_size):
+        """Single-cell, ragged, default-test and whole-domain chunks all
+        answer like the dense matrix, on histograms and on instances."""
+        workload = _random_workload(0)
+        assert workload.join_query.joint_domain_size == 120
+        rng = np.random.default_rng(chunk_size)
+        histogram = rng.random(workload.join_query.shape) * 4.0
+        instance = _random_instance(workload, rng)
+        dense = WorkloadEvaluator(workload, mode="dense")
+        streaming = WorkloadEvaluator(workload, mode="streaming", chunk_size=chunk_size)
+        reference = dense.answers_on_histogram(histogram)
+        scale = max(1.0, float(np.abs(reference).max()))
+        answers = streaming.answers_on_histogram(histogram)
+        assert np.max(np.abs(answers - reference)) <= 1e-9 * scale
+        assert np.array_equal(
+            streaming.answers_on_instance(instance), dense.answers_on_instance(instance)
+        )
 
 
 class TestShardedBackend:
@@ -412,7 +356,7 @@ class TestDomainBackend:
             domain.close()
 
     def test_seed_specs_never_materialize_in_the_parent(self):
-        """Uniform and per-slice initializer seeds land slice by slice."""
+        """Uniform seeds land slice by slice; array seeds are copied per slice."""
         workload = _random_workload(0)
         domain_size = workload.join_query.joint_domain_size
         serial = WorkloadEvaluator(workload, mode="sparse")
@@ -426,13 +370,9 @@ class TestDomainBackend:
             assert session.total() == pytest.approx(40.0)
             session.close()
 
-            ramp = HistogramSeed.from_slices(
-                lambda start, stop, _domain: np.arange(start, stop, dtype=np.float64)
-            )
-            session = domain.histogram_session(seed=ramp)
-            reference = serial.answers_on_histogram(
-                np.arange(domain_size, dtype=np.float64)
-            )
+            ramp = np.arange(domain_size, dtype=np.float64)
+            session = domain.histogram_session(seed=HistogramSeed.from_array(ramp))
+            reference = serial.answers_on_histogram(ramp)
             scale = max(1.0, float(np.abs(reference).max()))
             assert np.max(np.abs(session.answers() - reference)) <= 1e-9 * scale
             session.close()
@@ -583,94 +523,36 @@ class TestSharedEvaluatorCache:
 
 
 class TestChunkIterator:
-    """The shared decoded-chunk iterator behind the streaming backends."""
-
-    def test_prefetch_yields_identical_triples(self):
-        shape = (5, 3, 4)
-        serial = list(iter_decoded_chunks(shape, 0, 60, 7, prefetch=0))
-        for depth in (1, 2, 5):
-            pipelined = list(iter_decoded_chunks(shape, 0, 60, 7, prefetch=depth))
-            assert len(pipelined) == len(serial)
-            for (lo, hi, multi), (plo, phi, pmulti) in zip(serial, pipelined):
-                assert (lo, hi) == (plo, phi)
-                for axis, paxis in zip(multi, pmulti):
-                    assert np.array_equal(axis, paxis)
+    """The decoded-chunk iterator behind the chunked scan."""
 
     def test_partial_ranges_and_tail_chunk(self):
-        chunks = list(iter_decoded_chunks((4, 4), 3, 14, 5, prefetch=1))
+        chunks = list(iter_decoded_chunks((4, 4), 3, 14, 5))
         assert [(lo, hi) for lo, hi, _ in chunks] == [(3, 8), (8, 13), (13, 14)]
         lo, hi, multi = chunks[-1]
         assert np.array_equal(multi[0], [3]) and np.array_equal(multi[1], [1])
 
-    def test_early_abandonment_joins_decode_thread(self):
-        import threading
+    @pytest.mark.parametrize("chunk_size", [1, 7, 60, 61])
+    def test_chunks_tile_the_range_in_order(self, chunk_size):
+        shape = (5, 3, 4)
+        chunks = list(iter_decoded_chunks(shape, 0, 60, chunk_size))
+        assert chunks[0][0] == 0 and chunks[-1][1] == 60
+        assert all(hi == next_lo for (_, hi, _), (next_lo, _, _) in zip(chunks, chunks[1:]))
+        assert all(0 < hi - lo <= chunk_size for lo, hi, _ in chunks)
+        expected = np.unravel_index(np.arange(60), shape)
+        for axis in range(len(shape)):
+            decoded = np.concatenate([multi[axis] for _, _, multi in chunks])
+            assert np.array_equal(decoded, expected[axis])
 
-        iterator = iter_decoded_chunks((8, 8), 0, 64, 4, prefetch=2)
-        next(iterator)
-        iterator.close()
-        assert not any(
-            thread.name == "repro-chunk-decode" and thread.is_alive()
-            for thread in threading.enumerate()
-        )
+    def test_empty_range_yields_nothing(self):
+        assert list(iter_decoded_chunks((4, 4), 9, 9, 4)) == []
 
-    def test_decode_errors_reraise_in_consumer(self):
-        # stop beyond the domain size makes np.unravel_index fail on the
-        # decode thread; the error must surface at the consumer.
+    def test_stop_beyond_domain_rejected(self):
         with pytest.raises(ValueError):
-            list(iter_decoded_chunks((4, 4), 0, 32, 4, prefetch=1))
+            list(iter_decoded_chunks((4, 4), 0, 32, 4))
 
     def test_chunk_size_validated(self):
         with pytest.raises(ValueError):
             next(iter_decoded_chunks((4, 4), 0, 16, 0))
-
-
-class TestPrefetchingBackend:
-    def test_bitwise_parity_with_serial_streaming(self):
-        workload = _random_workload(2)
-        rng = np.random.default_rng(11)
-        histogram = rng.random(workload.join_query.shape) * 3.0
-        serial = WorkloadEvaluator(workload, mode="streaming", chunk_size=8)
-        reference = serial.answers_on_histogram(histogram)
-        for depth in (1, 3):
-            pipelined = WorkloadEvaluator(
-                workload, mode="prefetch", workers=depth, chunk_size=8
-            )
-            assert np.array_equal(
-                pipelined.answers_on_histogram(histogram), reference
-            ), depth
-
-    def test_auto_upgrades_streaming_iff_multicore(self, monkeypatch):
-        workload = _random_workload(0)
-        streaming_budgets = {"cell_budget": 0, "sparse_cell_budget": 0}
-        monkeypatch.setattr("repro.queries.backends.effective_cpu_count", lambda: 4)
-        assert auto_evaluator_mode(workload, **streaming_budgets) == "prefetch"
-        monkeypatch.setattr("repro.queries.backends.effective_cpu_count", lambda: 1)
-        assert auto_evaluator_mode(workload, **streaming_budgets) == "streaming"
-
-    def test_estimated_memory_grows_with_lookahead(self):
-        workload = _random_workload(0)
-        streaming = WorkloadEvaluator(workload, mode="streaming", chunk_size=16)
-        shallow = WorkloadEvaluator(workload, mode="prefetch", workers=1, chunk_size=16)
-        deep = WorkloadEvaluator(workload, mode="prefetch", workers=3, chunk_size=16)
-        assert streaming.estimated_memory() < shallow.estimated_memory()
-        assert shallow.estimated_memory() < deep.estimated_memory()
-
-    def test_pmw_selections_bitwise_identical(self):
-        workload = _random_workload(1)
-        rng = np.random.default_rng(13)
-        instance = _random_instance(workload, rng)
-        serial = WorkloadEvaluator(workload, mode="streaming", chunk_size=16)
-        pipelined = WorkloadEvaluator(workload, mode="prefetch", chunk_size=16)
-        config = PMWConfig(num_iterations=4)
-        results = [
-            private_multiplicative_weights(
-                instance, workload, 1.0, 1e-5, 2.0,
-                seed=23, evaluator=evaluator, config=config,
-            )
-            for evaluator in (serial, pipelined)
-        ]
-        assert results[0].selected_queries == results[1].selected_queries
-        assert np.array_equal(results[0].histogram, results[1].histogram)
 
 
 class TestBackendLifecycle:
@@ -724,8 +606,8 @@ class TestBackendLifecycle:
         context = EvaluatorContext(workload, EvaluatorConfig(workers=1))
         backend = ShardedBackend(context)
         assert backend.workers == 2
-        # The caller's context is not mutated: cost-model queries on it keep
-        # answering for the worker count the caller actually configured.
+        # The caller's context is not mutated: it keeps the worker count the
+        # caller actually configured.
         assert context.config.workers == 1
 
     def test_sharded_evaluates_overlapping_views_of_its_histogram(self):

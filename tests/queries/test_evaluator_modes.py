@@ -3,8 +3,8 @@
 The dense, sparse, and streaming backends must be interchangeable: identical
 instance answers (they share the einsum path), histogram answers equal to
 1e-9, and supports that round-trip to the dense query vectors.  Mode
-selection is driven by the measured support sizes against the configured
-cell budgets.
+selection is one rule over the configured cell budgets, the measured
+support sizes and the worker count.
 """
 
 import numpy as np
@@ -122,14 +122,43 @@ class TestModeParity:
 def fallback_mode(request, monkeypatch):
     """The budget-exhausted auto choice on a host with ``request.param`` cores.
 
-    With a second core to decode on, the prefetching scan outranks the
-    serial streaming scan; on one core streaming is the last resort.
+    The rule reads the requested worker count, never the host's cores, so
+    the serial streaming scan is the last resort on one core and on two.
     """
     monkeypatch.setattr(backends, "effective_cpu_count", lambda: request.param)
-    return "prefetch" if request.param >= 2 else "streaming"
+    return "streaming"
 
 
 class TestModeSelection:
+    @pytest.mark.parametrize(
+        "cell_budget, sparse_cell_budget, workers, expected",
+        [
+            (10**9, 10**9, 1, "dense"),
+            (10**9, 10, 2, "dense"),
+            (10, 10**9, 2, "sharded"),
+            (10, 10, 2, "sharded"),
+            (10, 10**9, 1, "sparse"),
+            (10, 10, 1, "streaming"),
+        ],
+    )
+    def test_auto_rule(self, workload, cell_budget, sparse_cell_budget, workers, expected):
+        """dense, else sharded with >= 2 workers, else sparse, else streaming."""
+        budgets = dict(
+            cell_budget=cell_budget, sparse_cell_budget=sparse_cell_budget, workers=workers
+        )
+        assert auto_evaluator_mode(workload, **budgets) == expected
+        evaluator = WorkloadEvaluator(workload, **budgets)
+        try:
+            assert evaluator.mode == expected
+        finally:
+            evaluator.close()
+
+    def test_sparse_exactly_while_the_supports_fit(self, workload):
+        total = WorkloadEvaluator(workload, mode="sparse").total_support_size()
+        for budget, expected in ((total, "sparse"), (total - 1, "streaming")):
+            mode = auto_evaluator_mode(workload, cell_budget=10, sparse_cell_budget=budget)
+            assert mode == expected
+
     def test_auto_picks_dense_under_budget(self, workload):
         assert WorkloadEvaluator(workload).mode == "dense"
 

@@ -36,19 +36,6 @@ class TestHistogramSeed:
         with pytest.raises(ValueError):
             HistogramSeed.uniform(float("inf"))
 
-    def test_from_slices_materializes_ranges_on_demand(self):
-        seed = HistogramSeed.from_slices(
-            lambda start, stop, _domain: np.arange(start, stop, dtype=np.float64)
-        )
-        assert not seed.is_uniform
-        assert np.array_equal(seed.cells(3, 7, 12), np.arange(3.0, 7.0))
-        assert np.array_equal(seed.materialize(5), np.arange(5.0))
-
-    def test_from_slices_validates_returned_shape(self):
-        seed = HistogramSeed.from_slices(lambda start, stop, _domain: np.zeros(1))
-        with pytest.raises(ValueError):
-            seed.cells(0, 4, 8)
-
     def test_from_array_flattens_and_validates_size(self):
         seed = HistogramSeed.from_array(np.ones((2, 3)))
         assert np.array_equal(seed.cells(2, 5, 6), np.ones(3))
@@ -57,9 +44,9 @@ class TestHistogramSeed:
 
     def test_exactly_one_field_enforced(self):
         with pytest.raises(ValueError):
-            HistogramSeed(total=None, initializer=None, array=None)
+            HistogramSeed(total=None, array=None)
         with pytest.raises(ValueError):
-            HistogramSeed(total=1.0, initializer=lambda *a: None, array=None)
+            HistogramSeed(total=1.0, array=np.ones(2))
 
 
 class TestFacadeSeeding:

@@ -1,4 +1,4 @@
-"""The CSR backend (``sparse``): packing, eligibility, caching, shard kernels.
+"""The CSR backend (``sparse``): packing, caching, shard kernels.
 
 Bitwise answer parity with the bincount matvec the backend replaced lives
 in ``test_csr_oracle``; the incremental session in
@@ -10,21 +10,12 @@ from __future__ import annotations
 import numpy as np
 
 import repro.queries.vectorized as vectorized
-from repro.queries.backends import EvaluatorConfig, EvaluatorContext
 from repro.queries.evaluation import WorkloadEvaluator, shared_evaluator
-from repro.queries.vectorized import ColumnView, PackedWorkload, SparseBackend
+from repro.queries.vectorized import ColumnView, PackedWorkload
 from repro.queries.workload import Workload
 from repro.relational.hypergraph import two_table_query
 from tests.queries.test_csr_oracle import _workload as oracle_workload
 from tests.queries.test_csr_oracle import oracle_answers
-
-
-def _marginal_workload() -> Workload:
-    """Two marginal families with distinct support sizes (24 vs 20 cells)."""
-    query = two_table_query(5, 4, 6)
-    return Workload.attribute_marginals(query, "A").extended(
-        Workload.attribute_marginals(query, "C").queries
-    )
 
 
 def _mixed_workload(seed: int = 0) -> Workload:
@@ -153,25 +144,6 @@ class TestSparseSession:
             assert np.array_equal(session.answers(), oracle_answers(evaluator, expected))
         finally:
             session.close()
-
-
-class TestCostModel:
-    def _context(self, workload, **config):
-        return EvaluatorContext(workload, EvaluatorConfig(**config))
-
-    def test_eligible_exactly_while_the_supports_fit_the_budget(self):
-        # Ragged support sizes and tiny totals no longer matter: the one
-        # rule is the sparse cell budget.
-        workload = _marginal_workload()
-        total = self._context(workload).total_support_size()
-        fits = self._context(workload, sparse_cell_budget=total)
-        assert SparseBackend.is_eligible(fits)
-        assert SparseBackend.estimate_cost(fits).eligible
-        over = self._context(workload, sparse_cell_budget=total - 1)
-        assert not SparseBackend.is_eligible(over)
-        cost = SparseBackend.estimate_cost(over)
-        assert not cost.eligible
-        assert "exceeds sparse cell budget" in cost.reason
 
 
 class TestWorkloadCache:
