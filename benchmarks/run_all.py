@@ -125,20 +125,6 @@ SMOKE_RUNS: dict[str, tuple] = {
         EXPERIMENTS["e15"],
         dict(size_a=8, size_b=4, size_c=8, chunk_size=512, eval_repeats=1, seed=0),
     ),
-    "bench_e16_sharded_evaluation": (
-        EXPERIMENTS["e16"],
-        dict(
-            size_a=8,
-            size_b=4,
-            size_c=8,
-            workers=2,
-            eval_repeats=1,
-            pmw_rounds=2,
-            tuples_per_relation=60,
-            chunk_size=256,
-            seed=0,
-        ),
-    ),
     "bench_e18_domain_partitioned": (
         EXPERIMENTS["e18"],
         dict(

@@ -62,7 +62,7 @@ def fail_on_leaked_shared_memory():
     leaked = _shm_segments() - baseline
     assert not leaked, (
         f"test run leaked shared-memory segments: {sorted(leaked)} — "
-        "a sharded/domain evaluator was not close()d, or a failure path "
+        "a domain evaluator was not close()d, or a failure path "
         "skipped shm.unlink() (the domain backend creates one segment per "
         "histogram slice, so a mid-_start failure must unwind every slice "
         "segment already created, not just the first)"

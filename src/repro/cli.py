@@ -5,7 +5,7 @@ Usage::
     python -m repro.cli list                # list available experiments
     python -m repro.cli run e6              # run one experiment, print its table
     python -m repro.cli run all --seed 1    # run the full suite
-    python -m repro.cli run e16 --evaluator-backend sharded --workers 4
+    python -m repro.cli run e18 --evaluator-backend domain --workers 4
     python -m repro.cli run e15 --evaluator-backend sparse
     python -m repro.cli demo                # tiny end-to-end quickstart
 
@@ -136,10 +136,9 @@ def main(argv: list[str] | None = None) -> int:
             "--workers",
             type=_positive_int,
             default=1,
-            help="worker processes for the sharded and domain evaluation "
-            "backends (>= 2 also makes the automatic choice pick 'sharded' "
-            "once the dense matrix is over budget; 'domain' gives each worker "
-            "its own histogram slice)",
+            help="worker processes of the 'domain' evaluation backend, which "
+            "gives each worker its own histogram slice; no other backend, and "
+            "not the automatic choice, reads it",
         )
         sub.add_argument(
             "--telemetry",

@@ -27,10 +27,10 @@ budget) clamped to a configurable range.
 
 The inner loop never touches full-domain query vectors: scores are computed
 with one batched workload evaluation per round (dense matmul, CSR
-matrix–vector product, sharded/domain parallel matvec, or chunked streaming
-scan depending on the evaluator backend) and the multiplicative update
-rescales only the selected query's cached support — the update factor is
-exactly 1 outside it.  The histogram lives in a
+matrix–vector product, domain-partitioned parallel matvec, or chunked
+streaming scan depending on the evaluator backend) and the multiplicative
+update rescales only the selected query's cached support — the update
+factor is exactly 1 outside it.  The histogram lives in a
 :class:`~repro.queries.backends.HistogramSession` owned by the loop, and the
 loop speaks only the session's op protocol: the uniform start is a
 :class:`~repro.queries.backends.HistogramSeed` spec (one scalar, realised by
@@ -158,8 +158,8 @@ def _renormalize(session, noisy_total: float, domain_size: int) -> None:
 
     Guarded against degenerate totals: a fully clamped/underflowed
     histogram reports total 0 and a corrupted one NaN or inf — dividing by
-    either would spread NaN through every cell (and, under the sharded
-    backend, through the shared-memory view all workers read).  Such
+    either would spread NaN through every cell (and, under the domain
+    backend, through the shared-memory slices the workers read).  Such
     sessions are reset to the uniform histogram the iterates start from.
     """
     total = session.total()
@@ -209,8 +209,8 @@ def private_multiplicative_weights(
     backend, workers:
         Evaluation-backend knobs forwarded to
         :func:`~repro.queries.evaluation.shared_evaluator` when no explicit
-        ``evaluator`` is given (``backend="sharded"`` with ``workers >= 2``
-        parallelises the per-round score computation).
+        ``evaluator`` is given (``backend="domain"`` evaluates the
+        per-round scores over ``workers`` per-worker domain slices).
     """
     if epsilon <= 0:
         raise ValueError(f"epsilon must be positive, got {epsilon}")

@@ -114,13 +114,12 @@ def release_synthetic_data(
     rng, seed:
         Source of randomness (mutually exclusive).
     backend, workers:
-        Workload-evaluation backend knobs (any registered backend name, or
-        ``"auto"``) forwarded to every algorithm;
-        ``backend="sharded", workers>=2`` parallelises the PMW score
-        computation across worker processes, and ``backend="domain"``
-        additionally partitions the histogram itself into per-worker
-        shared-memory domain slices, so no single allocation holds all
-        ``|D|`` cells.  Ignored when an explicit ``evaluator`` is passed.
+        Workload-evaluation backend knobs (any backend name, or
+        ``"auto"``) forwarded to every algorithm; ``backend="domain"``
+        partitions the histogram into ``workers`` per-worker shared-memory
+        domain slices evaluated in parallel, so no single allocation holds
+        all ``|D|`` cells.  ``workers`` sizes that pool only.  Ignored when
+        an explicit ``evaluator`` is passed.
 
     Returns
     -------

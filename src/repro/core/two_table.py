@@ -42,8 +42,8 @@ def two_table_release(
     The overall guarantee is (ε, δ)-DP: (ε/2, δ/2) for the noisy sensitivity
     bound Δ̃ and (ε/2, δ/2) for the PMW run (Lemma 3.2).  ``backend`` and
     ``workers`` pick the workload-evaluation backend when no explicit
-    ``evaluator`` is given (``backend="sharded"`` with ``workers >= 2``
-    parallelises the PMW score computation).
+    ``evaluator`` is given (``backend="domain"`` evaluates the PMW scores
+    over ``workers`` per-worker domain slices).
     """
     query = instance.query
     if query.num_relations != 2:

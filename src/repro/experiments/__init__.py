@@ -33,7 +33,6 @@ from repro.experiments import (
     e13_single_table_pmw,
     e14_privacy_audit,
     e15_evaluator_scaling,
-    e16_sharded_evaluation,
     e18_domain_partitioned,
     e20_observability,
 )
@@ -79,7 +78,6 @@ _RUNNERS = {
     "e13": e13_single_table_pmw.run,
     "e14": e14_privacy_audit.run,
     "e15": e15_evaluator_scaling.run,
-    "e16": e16_sharded_evaluation.run,
     "e18": e18_domain_partitioned.run,
     "e20": e20_observability.run,
 }
@@ -102,7 +100,6 @@ DESCRIPTIONS = {
     "e13": "Theorem 1.3 — single-table PMW sanity",
     "e14": "Lemmas 3.2/3.7/4.1 — empirical privacy audit",
     "e15": "Workload-evaluation engine scaling — dense vs sparse vs streaming",
-    "e16": "Sharded multi-process evaluation — parallel speedup with bitwise PMW parity",
     "e18": "Domain-partitioned histograms — per-slice shared memory, no |D| allocation",
     "e20": "Observability — hash-chained audit journal, live scrape endpoints, overhead",
 }

@@ -37,12 +37,27 @@ from repro.analysis.reporting import ExperimentTable
 from repro.core.pmw import PMWConfig, private_multiplicative_weights
 from repro.core.synthetic import SyntheticDataset
 from repro.experiments.e15_evaluator_scaling import _marginal_workload
-from repro.experiments.e16_sharded_evaluation import _random_instance
 from repro.mechanisms.spec import PrivacySpec
 from repro.queries.backends import HistogramSeed
 from repro.queries.backends import effective_cpu_count as effective_cores
 from repro.queries.evaluation import WorkloadEvaluator
 from repro.relational.hypergraph import two_table_query
+from repro.relational.instance import Instance
+
+
+def _random_instance(query, tuples_per_relation: int, rng: np.random.Generator) -> Instance:
+    size_a = query.attribute("A").domain.size
+    size_b = query.attribute("B").domain.size
+    size_c = query.attribute("C").domain.size
+    tuples_r1 = [
+        (int(rng.integers(size_a)), int(rng.integers(size_b)))
+        for _ in range(tuples_per_relation)
+    ]
+    tuples_r2 = [
+        (int(rng.integers(size_b)), int(rng.integers(size_c)))
+        for _ in range(tuples_per_relation)
+    ]
+    return Instance.from_tuple_lists(query, {"R1": tuples_r1, "R2": tuples_r2})
 
 
 def _time_session_answers(

@@ -5,8 +5,8 @@ function ``q_i : D_i -> [-1, +1]`` per relation; its answer is the weighted
 join size ``Σ_t ρ(t)·Π_i q_i(t_i)·R_i(t_i)``.  This subpackage provides the
 query objects, standard workload families (counting, predicates, marginals,
 ranges, random signs), and exact evaluation against both instances and
-released synthetic datasets through five evaluation backends (dense /
-sparse CSR / sharded / domain-partitioned / streaming).
+released synthetic datasets through four evaluation backends (dense /
+sparse CSR / domain-partitioned / streaming).
 """
 
 from repro.queries.linear import ProductQuery, TableQuery, all_one_query, counting_query

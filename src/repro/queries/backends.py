@@ -4,7 +4,7 @@ The release algorithms evaluate workloads through the
 :class:`~repro.queries.evaluation.WorkloadEvaluator` facade; the actual
 work is done by an :class:`EvaluationBackend`.  A backend owns one
 representation of the workload (dense matrix, CSR supports, nothing at
-all, sharded CSR over a process pool, ...) and answers four questions:
+all, CSR slices over a process pool) and answers four questions:
 
 ``answers_on_histogram(flat)``
     The full answer vector ``(q(F))_q`` against a flat joint-domain
@@ -17,16 +17,16 @@ all, sharded CSR over a process pool, ...) and answers four questions:
 ``estimated_memory()``
     The resident bytes the backend holds once built.
 
-The automatic choice (:func:`choose_backend`) is one rule over the budgets
-and the worker count: ``dense`` while ``|Q|·|D|`` fits the cell budget,
-else ``sharded`` with two or more workers, else ``sparse`` while the total
-support fits the sparse budget, else ``streaming``.  This module defines
-the ``dense`` and ``streaming`` backends and the chunked scan
-(:func:`scan_answers`) that ``streaming`` shares with the chunked
-strategies of the process-pool backends; the CSR backend (``sparse``)
-lives in :mod:`repro.queries.vectorized` and the process-pool backends
-(``sharded``, ``domain``) in :mod:`repro.queries.sharded`.  The name table
-lives in :mod:`repro.queries.evaluation`.
+The automatic choice (:func:`choose_backend`) is one rule over the two
+budgets: ``dense`` while ``|Q|·|D|`` fits the cell budget, else ``sparse``
+while the total support fits the sparse budget, else ``streaming``.  The
+worker count plays no part in it.  This module defines the ``dense`` and
+``streaming`` backends and the chunked scan (:func:`scan_answers`) that
+``streaming`` shares with the chunked representation of the process-pool
+backend; the CSR backend (``sparse``) lives in
+:mod:`repro.queries.vectorized` and the process-pool backend (``domain``)
+in :mod:`repro.queries.sharded`.  The name table lives in
+:mod:`repro.queries.evaluation`.
 
 Shared machinery (exact support-size einsums, chunk plans, chunked support
 construction) lives in :class:`EvaluatorContext`, which every backend
@@ -36,8 +36,8 @@ strategy itself.
 Iterated evaluation (the PMW loop) goes through a
 :class:`HistogramSession` — an *operation protocol* (answers, support
 rescale, uniform scale/fill, total, accumulate) behind which the histogram
-representation is private to the backend: one array, a shared-memory
-block, or per-slice segments spread over worker processes.  Sessions are
+representation is private to the backend: one array, or per-slice
+shared-memory segments spread over worker processes.  Sessions are
 opened from a declarative :class:`HistogramSeed` (uniform total or
 concrete array) via ``seeded_session``, so backends that partition the
 domain never materialise ``|D|`` cells for a uniform start.
@@ -134,8 +134,8 @@ def scan_answers(
     """Answers of every plan over the flat range ``[start, stop)``, chunk by chunk.
 
     The one chunked scan: the ``streaming`` backend runs it over the whole
-    domain, the chunked strategies of ``sharded`` and ``domain`` over each
-    worker's range.  ``histogram`` holds the cells of the range starting at
+    domain, the chunked representation of ``domain`` over each worker's
+    slice.  ``histogram`` holds the cells of the range starting at
     flat index ``offset``.  Chunks are visited in ascending order and each
     query's partial sums accumulate in that order, so a scan is
     deterministic and the extra memory is one chunk.
@@ -153,7 +153,7 @@ def streaming_scratch_bytes(context: "EvaluatorContext") -> int:
 
     One chunk of decoded multi-indices (``ndim`` int64 arrays) plus the
     value and histogram-slice buffers; shared by the streaming backend and
-    the chunked strategies of the process-pool backends so their
+    the chunked representation of the process-pool backend so their
     ``estimated_memory`` reports cannot drift apart.
     """
     chunk = min(context.config.chunk_size, context.domain_size)
@@ -203,8 +203,8 @@ class EvaluatorContext:
 
         The single validation gate in front of every histogram evaluation:
         the :class:`~repro.queries.evaluation.WorkloadEvaluator` facade and
-        the backends that write into owned storage (the sharded backend's
-        shared-memory segment) both route through it, so a wrong-length or
+        the backends that write into owned storage (the domain backend's
+        shared-memory slices) both route through it, so a wrong-length or
         scalar input fails loudly instead of broadcasting.
         """
         flat = np.asarray(histogram, dtype=float).reshape(-1)
@@ -400,9 +400,9 @@ class HistogramSession:
     handing the backend a fresh histogram every round, it applies in-place
     deltas through these ops and re-asks for answers.  Callers never see
     the backing storage — serial backends keep a private array
-    (:class:`ArrayHistogramSession`), the sharded backend a view on its
-    shared-memory block, and the domain-partitioned backend one block per
-    contiguous domain slice — so the loop is identical against all of them
+    (:class:`ArrayHistogramSession`) and the domain-partitioned backend one
+    shared-memory block per contiguous domain slice — so the loop is
+    identical against all of them
     and nothing outside the queries package may assume "one flat ndarray"
     (a static-guard test enforces the boundary).
 
@@ -475,12 +475,11 @@ class HistogramSession:
 class ArrayHistogramSession(HistogramSession):
     """The dense implementation: one flat float64 array in this process.
 
-    A session owns its array outright: the seed histogram is *copied* on
-    every backend (serial sessions into a private array, sharded into the
-    shared-memory block), so session mutations never touch the caller's
-    input.  The accumulator is allocated lazily on the first
-    :meth:`accumulate`, so ops-only consumers (renormalisation tests,
-    one-shot evaluations) never pay for it.
+    A session owns its array outright: the seed histogram is *copied* into
+    a private array, so session mutations never touch the caller's input.
+    The accumulator is allocated lazily on the first :meth:`accumulate`, so
+    ops-only consumers (renormalisation tests, one-shot evaluations) never
+    pay for it.
     """
 
     def __init__(self, backend: "EvaluationBackend", array: np.ndarray):
@@ -505,8 +504,6 @@ class ArrayHistogramSession(HistogramSession):
 
     def accumulate(self) -> None:
         if self._accumulator is None:
-            # zeros_like of a shared-memory view is a plain private array,
-            # so the accumulator never aliases backend storage.
             self._accumulator = np.zeros_like(self._array)
         self._accumulator += self._array
 
@@ -553,7 +550,7 @@ class EvaluationBackend:
     def normalize_workers(cls, workers: int) -> int:
         """The effective worker count for a requested one.
 
-        Backends with a parallelism floor (the sharded backend implies at
+        Backends with a parallelism floor (the domain backend implies at
         least two workers) override this; every construction path — direct
         backend construction, ``WorkloadEvaluator``, ``shared_evaluator`` —
         normalises through it, so the invariant lives in exactly one place.
@@ -620,12 +617,13 @@ class EvaluationBackend:
 
 
 def choose_backend(context: EvaluatorContext) -> str:
-    """The automatic choice: the first of four checks that holds.
+    """The automatic choice: the first of three checks that holds.
 
-    ``dense`` while ``|Q|·|D|`` fits the cell budget, else ``sharded`` when
-    two or more workers were asked for, else ``sparse`` while the measured
-    total support fits the sparse budget, else ``streaming``.  The support
-    measurement only runs once the cheaper checks have failed.
+    ``dense`` while ``|Q|·|D|`` fits the cell budget, else ``sparse`` while
+    the measured total support fits the sparse budget, else ``streaming``.
+    The support measurement only runs once the dense check has failed, and
+    the worker count is never read: it only sizes the opt-in ``domain``
+    pool.
 
     Telemetry: while recording, the decision becomes an
     ``evaluator.choose_backend`` span whose ``chosen`` attribute names the
@@ -644,8 +642,6 @@ def choose_backend(context: EvaluatorContext) -> str:
     with span_ctx as span:
         if context.num_queries * context.domain_size <= context.config.cell_budget:
             name = "dense"
-        elif context.config.workers >= 2:
-            name = "sharded"
         elif context.supports_fit_budget():
             name = "sparse"
         else:

@@ -1,7 +1,7 @@
 """Exact workload evaluation and error reporting.
 
 :class:`WorkloadEvaluator` answers a whole workload against instances and
-joint-domain histograms.  It is a thin facade over five
+joint-domain histograms.  It is a thin facade over four
 :class:`~repro.queries.backends.EvaluationBackend` classes, named in
 :data:`BACKENDS`; they trade memory for speed behind one interface, so the
 release algorithms never care which one is active:
@@ -19,12 +19,6 @@ release algorithms never care which one is active:
     reduction.  Its PMW session keeps the answers current per support
     delta (1e-9 relative to a fresh evaluation), see
     :mod:`repro.queries.vectorized`.
-``sharded``
-    The sparse CSR split into row shards evaluated by a persistent
-    ``multiprocessing`` worker pool over a shared-memory histogram (with a
-    chunk-range fallback beyond the sparse budget).  Opted into with the
-    ``workers`` knob; answers match the serial sparse path bitwise per
-    query, so PMW selections are reproducible across worker counts.
 ``streaming``
     Holds no per-query state at all: evaluations scan the joint domain in
     fixed-size chunks and recompute query values on the fly.  Slowest, but
@@ -37,8 +31,8 @@ release algorithms never care which one is active:
     allocation.  Supports are re-indexed per slice; answers sum the
     per-slice partials in fixed order (1e-9 parity with serial sparse, not
     bitwise — PMW *selections* stay bitwise under a fixed seed).  Opt-in
-    via ``mode="domain"``; this is the strategy for histograms one address
-    space cannot hold.
+    via ``mode="domain"``, sized by ``workers``; this is the strategy for
+    histograms one address space cannot hold.
 
 Iterated evaluation drives a :class:`~repro.queries.backends.HistogramSession`
 — an operation protocol (``answers``, ``scale_support``, ``scale``,
@@ -51,12 +45,13 @@ parent never allocates ``|D|`` cells.
 
 The default (``mode="auto"``) applies one rule
 (:func:`~repro.queries.backends.choose_backend`): ``dense`` while
-``|Q|·|D|`` fits the matrix budget, else ``sharded`` with ``workers >= 2``,
-else ``sparse`` while the *measured* total support fits the sparse budget
-(an einsum over the non-zero indicators of the per-relation weights, never
-materialising the joint domain), else ``streaming``.  The choice (and any
-dense matrix build) is deferred until the first histogram evaluation or
-support request, so instance-only consumers pay nothing for it.
+``|Q|·|D|`` fits the matrix budget, else ``sparse`` while the *measured*
+total support fits the sparse budget (an einsum over the non-zero
+indicators of the per-relation weights, never materialising the joint
+domain), else ``streaming``.  The worker count does not steer it.  The
+choice (and any dense matrix build) is deferred until the first histogram
+evaluation or support request, so instance-only consumers pay nothing for
+it.
 
 :func:`shared_evaluator` memoises evaluators on the workload object itself
 (one per ``(backend, workers)``), so repeated release invocations over the
@@ -83,7 +78,7 @@ from repro.queries.backends import (
     StreamingBackend,
     choose_backend,
 )
-from repro.queries.sharded import DomainShardedBackend, ShardedBackend
+from repro.queries.sharded import DomainShardedBackend
 from repro.queries.vectorized import SparseBackend
 from repro.queries.workload import Workload
 from repro.relational.instance import Instance
@@ -98,7 +93,6 @@ BACKENDS: dict[str, type[EvaluationBackend]] = {
     for cls in (
         DenseBackend,
         SparseBackend,
-        ShardedBackend,
         DomainShardedBackend,
         StreamingBackend,
     )
@@ -170,7 +164,8 @@ def set_default_backend(backend: str = "auto", workers: int = 1) -> None:
     ``WorkloadEvaluator(workload)`` constructions and
     :func:`shared_evaluator` lookups — so one call (e.g. from the CLI's
     ``--evaluator-backend``/``--workers`` flags) retargets every release
-    algorithm in the process.
+    algorithm in the process.  ``workers`` sizes the ``domain`` pool only;
+    it never changes which backend ``"auto"`` picks.
     """
     if backend != "auto":
         backend_class(backend)  # raises on unknown names
@@ -194,8 +189,8 @@ class WorkloadEvaluator:
         The query family.
     mode / backend:
         ``"auto"`` or a backend name (``"dense"``, ``"sparse"``,
-        ``"sharded"``, ``"domain"``, ``"streaming"``); see the module
-        docstring for the trade-offs.
+        ``"domain"``, ``"streaming"``); see the module docstring for the
+        trade-offs.
         ``backend`` is an alias of ``mode`` matching the release-algorithm
         knob; when neither is given the process-wide default applies.
         ``"auto"`` (the default) applies the automatic-choice rule.
@@ -206,10 +201,9 @@ class WorkloadEvaluator:
         Joint-domain chunk length used by streaming scans and chunked
         support construction.
     workers:
-        Worker-process count for the sharded and domain backends
-        (``workers >= 2`` also makes the automatic choice pick ``sharded``
-        once the dense matrix is priced out; ``domain`` sizes its
-        per-slice segments by it).
+        Worker-process count of the ``domain`` backend, which sizes its
+        pool and per-slice segments by it (floored at two).  No other
+        backend reads it, and the automatic choice ignores it.
     """
 
     def __init__(
@@ -232,7 +226,7 @@ class WorkloadEvaluator:
             workers = 1
         if name != "auto":
             # Raises on unknown names; the backend class's own invariant
-            # (e.g. sharded's >= 2 floor) decides the effective worker
+            # (e.g. domain's >= 2 floor) decides the effective worker
             # count, so this facade, shared_evaluator, and direct backend
             # construction all agree.
             workers = backend_class(name).normalize_workers(workers)
@@ -369,10 +363,9 @@ class WorkloadEvaluator:
         The PMW inner loop uses this instead of re-submitting the histogram
         every round: it applies in-place deltas (the selected query's
         support rescale and the renormalisation) through the session's op
-        protocol and re-asks for answers.  The sharded backend maps the
-        session straight onto its shared-memory histogram and the domain
-        backend onto its per-slice segments, so nothing is re-broadcast to
-        the workers between rounds.
+        protocol and re-asks for answers.  The domain backend maps the
+        session straight onto its per-slice shared-memory segments, so
+        nothing is re-broadcast to the workers between rounds.
 
         Exactly one of ``initial`` (a concrete histogram, copied into
         session storage) or ``seed`` (a declarative
@@ -403,7 +396,6 @@ def auto_evaluator_mode(
     *,
     cell_budget: int = _MATRIX_CELL_BUDGET,
     sparse_cell_budget: int = _SPARSE_CELL_BUDGET,
-    workers: int = 1,
 ) -> str:
     """The backend ``mode="auto"`` would pick, without building any backend.
 
@@ -415,7 +407,6 @@ def auto_evaluator_mode(
         EvaluatorConfig(
             cell_budget=cell_budget,
             sparse_cell_budget=sparse_cell_budget,
-            workers=workers,
         ),
     )
     return choose_backend(context)
@@ -436,7 +427,7 @@ def shared_evaluator(
     fresh :class:`WorkloadEvaluator` per invocation, so repeated releases
     over the same workload — uniformized per-bucket runs, trial sweeps, the
     baselines — share the dense matrix, packed CSR supports, or
-    sharded worker pool.  The cache lives on the
+    ``domain`` worker pool.  The cache lives on the
     workload object itself (:meth:`~repro.queries.workload.Workload.private_cache`),
     so entries are evicted exactly when the workload is garbage-collected —
     the cache/evaluator/workload reference cycle is collectable, unlike a
@@ -449,7 +440,7 @@ def shared_evaluator(
         # backend does too; an explicit backend starts from serial.
         workers = default_workers if backend is None else 1
     if name != "auto":
-        # Canonicalise through the backend's worker invariant (sharded's
+        # Canonicalise through the backend's worker invariant (domain's
         # >= 2 floor) so equivalent requests share one cache entry.
         workers = backend_class(name).normalize_workers(workers)
     key = (name, int(workers))

@@ -1,54 +1,34 @@
-"""Process-pool evaluation backends: row-sharded CSR and domain partitioning.
+"""The process-pool evaluation backend: a domain partitioned across workers.
 
-:class:`ShardedBackend` parallelises workload evaluation across a
-persistent ``multiprocessing`` worker pool.  The histogram lives in one
-:mod:`multiprocessing.shared_memory` block that every worker maps, so an
-evaluation round ships only a task id per shard — never the histogram
-itself — and the PMW inner loop's in-place support deltas (see
+:class:`DomainShardedBackend` (``mode="domain"``) partitions the flat joint
+domain into contiguous slices, one per worker of a persistent
+``multiprocessing`` pool.  Each slice is backed by its own
+:mod:`multiprocessing.shared_memory` segment of ``8·(slice length)`` bytes
+that its worker maps — the full ``8·|D|`` histogram never exists as one
+allocation anywhere.  An evaluation ships only a task id per slice, never
+the histogram, and the PMW inner loop's in-place support deltas (see
 :class:`~repro.queries.backends.HistogramSession`) are visible to the
 workers the moment they are written.
 
-Two sharding strategies mirror the serial backends:
+While the total support fits the sparse cell budget, the packed CSR is
+split at the slice bounds into one slice-local ``csr_matrix`` per shard;
+beyond it each worker runs the chunked scan
+(:func:`~repro.queries.backends.scan_answers`) over its chunk-aligned
+slice.  Per-query answers are the sum of per-slice partial sums (combined
+in fixed slice order), and a renormalisation is a local scale per slice
+plus one scalar all-reduce for the total.  With a uniform
+:class:`~repro.queries.backends.HistogramSeed` the parent process never
+allocates ``|D|`` cells either.  Cross-slice partial sums reassociate float
+additions, so answers match serial sparse to 1e-9 relative (not bitwise);
+PMW *selections* remain bitwise reproducible under a fixed seed, which E18
+asserts.
 
-``csr``
-    When the total support fits the sparse cell budget, the packed CSR is
-    split into contiguous *row* shards balanced by entry count, each
-    evaluated by its own ``csr_matrix`` matvec.  A query's entries are
-    never split across shards, so each per-query partial sum runs over
-    exactly the entries the serial sparse matvec accumulates, in the same
-    order — per-query answers are bitwise identical to the serial sparse
-    path (the other shards contribute exact zeros), which is what keeps
-    PMW query selections reproducible across ``workers`` settings.
-``chunked``
-    Beyond the sparse budget, the joint domain is split into contiguous
-    chunk-aligned ranges and each worker runs the chunked scan
-    (:func:`~repro.queries.backends.scan_answers`) over its range (answers
-    agree with serial streaming to float addition reassociation, i.e. well
-    within 1e-9 relative).
-
-:class:`DomainShardedBackend` (``mode="domain"``) partitions the *domain*
-instead of the query rows: each shard owns one contiguous slice of the
-flat joint domain, backed by its own shared-memory segment of
-``8·(slice length)`` bytes — the full ``8·|D|`` histogram never exists as
-one allocation anywhere.  The packed CSR is split at the slice bounds into
-one slice-local ``csr_matrix`` per shard; per-query answers are
-the sum of per-slice partial sums (combined in fixed slice order), and a
-renormalisation is a local scale per slice plus one scalar all-reduce for
-the total.  The session ops of the PR 2 delta protocol map one-to-one
-onto slice-local writes, so the PMW loop needs no changes — and with a
-uniform :class:`~repro.queries.backends.HistogramSeed` the parent process
-never allocates ``|D|`` cells either.  Cross-slice partial sums
-reassociate float additions, so answers match serial sparse to 1e-9
-relative (not bitwise); PMW *selections* remain bitwise reproducible
-under a fixed seed, which E18 asserts.
-
-Worker start-up prefers the ``fork`` context: the CSR shards (or chunk
+Worker start-up prefers the ``fork`` context: the slice matrices (or chunk
 plans) are inherited copy-on-write through a module-level state table and
 are never pickled.  On platforms without ``fork`` the state is shipped
 once per worker through the pool initializer.  Pool and shared memory
-(one segment, or one per domain slice) are torn down by ``close()`` or,
-failing that, a ``weakref.finalize`` when the backend is
-garbage-collected.
+(one segment per domain slice) are torn down by ``close()`` or, failing
+that, a ``weakref.finalize`` when the backend is garbage-collected.
 
 **A dead worker.**  A worker that dies (killed, out of memory) breaks the
 whole ``ProcessPoolExecutor``.  The histogram lives in parent-owned
@@ -56,7 +36,8 @@ segments and the worker state in the parent's table, so an evaluation that
 meets a broken pool starts one new pool from the same state and segments
 and resubmits its shards — the histogram contents survive, and the answers
 are those of an unbroken pool.  A pool that breaks again within the same
-evaluation raises.  Restarts count on ``pool.restarts{backend=<name>}``.
+evaluation raises.  Restarts count on ``pool.restarts{backend=<name>}``,
+evaluations on ``pool.dispatches{backend=<name>}``.
 
 **Telemetry.**  While the parent records
 (:func:`repro.telemetry.configure`), each pool worker is handed a flush
@@ -88,12 +69,7 @@ from repro.queries.backends import (
     scan_answers,
     streaming_scratch_bytes,
 )
-from repro.queries.vectorized import (
-    IncrementalHistogramSession,
-    SparseBackend,
-    shard_matvec_kernels,
-    slice_matrix,
-)
+from repro.queries.vectorized import SparseBackend, slice_matrix
 from repro.telemetry import (
     is_enabled as _telemetry_enabled,
     registry as _telemetry_registry,
@@ -118,12 +94,11 @@ def _init_worker(
     payload: dict | None,
     telemetry_init: tuple[bool, object] | None = None,
 ) -> None:
-    """Pool initializer: attach the shared histogram segments (spawn only).
+    """Pool initializer: attach the per-slice histogram segments (spawn only).
 
     Under ``fork`` the state table is inherited and ``payload`` is ``None``;
-    under ``spawn`` the pickled shard data arrives here and every segment —
-    the single shared histogram, or one per domain slice — is re-attached
-    by its shared-memory ``(name, length)``.
+    under ``spawn`` the pickled slice data arrives here and every slice
+    segment is re-attached by its shared-memory ``(name, length)``.
 
     ``telemetry_init`` is ``(enabled, flush queue)`` from the parent.  The
     worker's telemetry is initialised *before* the fork early-return: a
@@ -160,7 +135,7 @@ def _init_worker(
 
 
 def _eval_shard(key: int, shard_id: int) -> np.ndarray:
-    """Partial answer vector of one shard against the shared histogram(s).
+    """Partial answer vector of one shard against its slice segment.
 
     Telemetry: while the worker records (see :func:`_init_worker`), every
     task counts on ``worker.tasks`` and times into ``worker.eval_seconds``
@@ -176,31 +151,16 @@ def _eval_shard(key: int, shard_id: int) -> np.ndarray:
 
 
 def _eval_shard_impl(key: int, shard_id: int) -> np.ndarray:
+    # The shard owns one contiguous domain slice in its own segment; support
+    # indices were re-indexed slice-locally at start-up.
     state = _WORKER_STATES[key]
-    num_queries = state["num_queries"]
-    strategy = state["strategy"]
-    if strategy == "domain":
-        # The shard owns one contiguous domain slice in its own segment;
-        # support indices were re-indexed slice-locally at start-up.
-        histogram = state["histograms"][shard_id]
-        if state["representation"] == "csr":
-            return state["slice_matrices"][shard_id] @ histogram
-        start, end = state["slices"][shard_id]
-        return scan_answers(
-            state["shape"], state["plans"], histogram, start, end,
-            state["chunk_size"], offset=start,
-        )
-    histogram = state["histograms"][0]
-    if strategy == "csr":
-        # The shard's rows as one CSR matvec: each row accumulates in the
-        # serial matrix's element order, so the partials are bitwise equal.
-        row_lo, row_hi = state["row_spans"][shard_id]
-        partial = np.zeros(num_queries, dtype=np.float64)
-        partial[row_lo:row_hi] = state["shard_kernels"][shard_id] @ histogram
-        return partial
-    start, end = state["ranges"][shard_id]
+    histogram = state["histograms"][shard_id]
+    if state["representation"] == "csr":
+        return state["slice_matrices"][shard_id] @ histogram
+    start, end = state["slices"][shard_id]
     return scan_answers(
-        state["shape"], state["plans"], histogram, start, end, state["chunk_size"]
+        state["shape"], state["plans"], histogram, start, end,
+        state["chunk_size"], offset=start,
     )
 
 
@@ -245,6 +205,11 @@ def _shutdown(
         except OSError:
             pass
     _WORKER_STATES.pop(key, None)
+    _release_segments(shms)
+
+
+def _release_segments(shms: list[shared_memory.SharedMemory]) -> None:
+    """Close and unlink every segment, tolerating ones already gone."""
     for shm in shms:
         try:
             shm.close()
@@ -258,317 +223,6 @@ def _shutdown(
             shm.unlink()
         except OSError:
             pass
-
-
-class ShardedHistogramSession(IncrementalHistogramSession):
-    """A histogram session living directly in the shared-memory block.
-
-    The backing array is a view on the segment every worker maps, so the
-    in-place deltas the PMW loop applies (support rescale +
-    renormalisation) reach the workers without any communication; a fresh
-    evaluation only dispatches shard ids.  Under the ``csr`` strategy the
-    answers are maintained per support delta through the workload's cached
-    :class:`~repro.queries.vectorized.ColumnView`, exactly as the serial
-    ``sparse`` session maintains them — the same arithmetic on bitwise-equal
-    fresh evaluations, so both release bitwise-identical histograms.  The
-    ``chunked`` strategy has no column view and dispatches every time.
-    """
-
-    def __init__(self, backend: "ShardedBackend"):
-        columns = backend._ensure_columns() if backend.strategy == "csr" else None
-        super().__init__(backend, backend._histogram_view(), columns)
-
-    def _evaluate(self) -> np.ndarray:
-        return self._backend._dispatch()
-
-    def close(self) -> None:
-        self._backend._session_open = False
-
-
-class ShardedBackend(SparseBackend):
-    """Row-sharded parallel evaluation over a persistent process pool."""
-
-    name = "sharded"
-    #: Resident bytes per support entry of the ``csr`` strategy: the packed
-    #: int64 index and float64 value.
-    _bytes_per_entry = 16
-
-    def __init__(self, context: EvaluatorContext):
-        super().__init__(context)
-        self._executor: ProcessPoolExecutor | None = None
-        # What a restart needs: (mp_context, initializer arguments).
-        self._pool_spec: tuple | None = None
-        self._shms: list[shared_memory.SharedMemory] | None = None
-        self._views: list[np.ndarray] | None = None
-        # The flat [lo, hi) domain range each segment holds.
-        self._segments: list[tuple[int, int]] = []
-        self._key: int | None = None
-        self._num_shards = 0
-        self._finalizer: weakref.finalize | None = None
-        self._session_open = False
-
-    @classmethod
-    def normalize_workers(cls, workers: int) -> int:
-        """Sharded implies parallelism: the worker count floors at two."""
-        return max(2, super().normalize_workers(workers))
-
-    # -- pool management --------------------------------------------------
-    @property
-    def strategy(self) -> str:
-        """``"csr"`` while the supports fit the sparse budget, else ``"chunked"``."""
-        return "csr" if self._context.supports_fit_budget() else "chunked"
-
-    def query_support(self, index: int) -> tuple[np.ndarray, np.ndarray]:
-        if self._context.supports_fit_budget():
-            return super().query_support(index)
-        # Chunked/scan strategies: behave like streaming — cache within the
-        # budget only, preserving the bounded-memory guarantee.
-        saved, self.caches_all_supports = self.caches_all_supports, False
-        try:
-            return super().query_support(index)
-        finally:
-            self.caches_all_supports = saved
-
-    def _csr_shards(self) -> tuple[dict, int]:
-        """The worker state for the ``csr`` strategy: balanced row shards."""
-        packed = self._ensure_packed()
-        offsets = packed.indptr
-        # Shard boundaries on row borders, targeting equal entry counts; a
-        # query's entries are never split, preserving its serial sum order.
-        targets = (packed.total_entries * np.arange(1, self._workers)) // self._workers
-        row_bounds = np.unique(
-            np.concatenate(
-                ([0], np.searchsorted(offsets, targets, side="left"), [packed.num_queries])
-            )
-        )
-        row_spans, kernels = shard_matvec_kernels(
-            row_bounds, packed, self._context.domain_size
-        )
-        state = {
-            "strategy": "csr",
-            "num_queries": self._context.num_queries,
-            "row_spans": row_spans,
-            "shard_kernels": kernels,
-        }
-        return state, len(row_spans)
-
-    def _chunk_shards(self) -> tuple[dict, int]:
-        """The worker state for the ``chunked`` strategy: chunk-aligned ranges."""
-        context = self._context
-        chunk_size = context.config.chunk_size
-        num_chunks = -(-context.domain_size // chunk_size)
-        bounds = sorted(
-            {
-                min(round(num_chunks * i / self._workers) * chunk_size, context.domain_size)
-                for i in range(self._workers + 1)
-            }
-        )
-        ranges = [(bounds[i], bounds[i + 1]) for i in range(len(bounds) - 1)]
-        state = {
-            "strategy": "chunked",
-            "num_queries": context.num_queries,
-            "shape": context.shape,
-            "chunk_size": chunk_size,
-            "plans": context.chunk_plans(),
-            "ranges": ranges,
-        }
-        return state, len(ranges)
-
-    def _worker_state(self) -> tuple[dict, int, list[tuple[int, int]]]:
-        """``(worker state, shard count, segment ranges)`` of a new pool.
-
-        The row-sharded strategies share one segment holding the whole
-        domain.
-        """
-        state, num_shards = (
-            self._csr_shards() if self.strategy == "csr" else self._chunk_shards()
-        )
-        return state, num_shards, [(0, self._context.domain_size)]
-
-    def _start(self) -> None:
-        if self._executor is not None:
-            return
-        state, num_shards, segments = self._worker_state()
-        key = next(_BACKEND_KEYS)
-        shms: list[shared_memory.SharedMemory] = []
-        try:
-            views = []
-            for lo, hi in segments:
-                shm = shared_memory.SharedMemory(create=True, size=max(8 * (hi - lo), 8))
-                shms.append(shm)
-                views.append(np.ndarray((hi - lo,), dtype=np.float64, buffer=shm.buf))
-            state["histograms"] = views
-            # Under fork the workers inherit this entry (and the shm mappings)
-            # copy-on-write; nothing is pickled.  Under spawn the initializer
-            # rebuilds it from the pickled payload.
-            _WORKER_STATES[key] = state
-            # Fork only where it is the platform's default start method (Linux):
-            # on macOS fork is *available* but unsafe with threads/Accelerate,
-            # which is exactly why spawn is the default there.
-            use_fork = multiprocessing.get_start_method() == "fork"
-            payload = (
-                None
-                if use_fork
-                else {name: value for name, value in state.items() if name != "histograms"}
-            )
-            mp_context = multiprocessing.get_context("fork" if use_fork else "spawn")
-            telemetry_queue = None
-            telemetry_init = None
-            if _telemetry_enabled():
-                # The flush queue travels through initargs — the sanctioned
-                # inheritance channel under both fork and spawn.
-                telemetry_queue = create_flush_queue(mp_context)
-                telemetry_init = (True, telemetry_queue)
-            segment_names = tuple(
-                (shm.name, hi - lo) for shm, (lo, hi) in zip(shms, segments)
-            )
-            pool_spec = (mp_context, (key, segment_names, payload, telemetry_init))
-            executor = _new_pool(self._workers, pool_spec)
-        except BaseException:
-            # A failure after any segment was created — mid-way through the
-            # per-segment creation loop included — must not leave segments
-            # behind in /dev/shm (or a stale state entry).
-            _WORKER_STATES.pop(key, None)
-            state.pop("histograms", None)
-            views = None  # drop the buffer exports before closing the mappings
-            for shm in shms:
-                try:
-                    shm.close()
-                except (BufferError, OSError):
-                    pass
-                try:
-                    shm.unlink()
-                except OSError:
-                    pass
-            raise
-        self._executor = executor
-        self._pool_spec = pool_spec
-        self._shms = shms
-        self._views = views
-        self._segments = segments
-        self._key = key
-        self._num_shards = num_shards
-        self._finalizer = weakref.finalize(
-            self, _shutdown, executor, shms, key, telemetry_queue
-        )
-
-    def _histogram_view(self) -> np.ndarray:
-        self._start()
-        assert self._views is not None
-        return self._views[0]
-
-    def _restart_pool(self) -> None:
-        """Replace a broken pool by a new one over the same state and segments."""
-        assert self._finalizer is not None and self._pool_spec is not None
-        executor = _new_pool(self._workers, self._pool_spec)
-        _obj, _func, (broken, *teardown), _kwargs = self._finalizer.detach()
-        self._finalizer = weakref.finalize(self, _shutdown, executor, *teardown)
-        self._executor = executor
-        _stop_pool(broken)
-        if _telemetry_enabled():
-            _telemetry_registry().counter("pool.restarts", backend=self.name).add()
-
-    def _gather(self) -> np.ndarray:
-        futures = [
-            self._executor.submit(_eval_shard, self._key, shard_id)
-            for shard_id in range(self._num_shards)
-        ]
-        # Partial sums are combined in fixed shard order, keeping the result
-        # independent of worker scheduling.
-        answers = np.zeros(self._context.num_queries, dtype=np.float64)
-        for future in futures:
-            answers += future.result()
-        return answers
-
-    def _dispatch(self) -> np.ndarray:
-        """One parallel evaluation of the current shared-histogram contents.
-
-        A broken pool (a dead worker) is replaced once and the shards are
-        resubmitted; a second break raises ``BrokenProcessPool``.
-        """
-        assert self._executor is not None and self._key is not None
-        if _telemetry_enabled():
-            _telemetry_registry().counter(
-                "sharded.dispatches", backend=self.name
-            ).add()
-        try:
-            return self._gather()
-        except BrokenProcessPool:
-            self._restart_pool()
-            return self._gather()
-
-    # -- evaluation -------------------------------------------------------
-    def answers_on_histogram(self, flat: np.ndarray) -> np.ndarray:
-        if self._session_open:
-            raise RuntimeError(
-                "a histogram session is open on this sharded backend and owns "
-                "the shared-memory histogram; evaluate through the session or "
-                "close it first"
-            )
-        # Validate before starting the pool or touching the shared segment:
-        # ``view[:] =`` would otherwise broadcast scalars (silently) or fail
-        # with an obscure shape error on wrong-length inputs.
-        flat = self._context.validated_flat(flat)
-        view = self._histogram_view()
-        if flat is not view:
-            # An overlapping view of the segment (validated_flat returns the
-            # input's reshape) is still copied: numpy buffers overlapping
-            # assignments, and e.g. a reversed view must actually land.
-            view[:] = flat
-        return self._dispatch()
-
-    def session(self, initial: np.ndarray) -> HistogramSession:
-        if self._session_open:
-            raise RuntimeError(
-                "this sharded backend already has an open histogram session "
-                "(there is a single shared-memory histogram); close it before "
-                "opening another"
-            )
-        initial = self._context.validated_flat(initial)
-        view = self._histogram_view()
-        view[:] = initial
-        self._session_open = True
-        return ShardedHistogramSession(self)
-
-    def seeded_session(self, seed: HistogramSeed) -> HistogramSession:
-        if seed.array is not None:
-            return self.session(seed.array)
-        if self._session_open:
-            raise RuntimeError(
-                "this sharded backend already has an open histogram session "
-                "(there is a single shared-memory histogram); close it before "
-                "opening another"
-            )
-        # A uniform seed is written straight into the shared segment — no
-        # |D|-sized temporary in between.
-        self._histogram_view().fill(seed.cell_value(self._context.domain_size))
-        self._session_open = True
-        return ShardedHistogramSession(self)
-
-    def estimated_memory(self) -> int:
-        """The supports (or one scan chunk per worker) plus one histogram.
-
-        The per-slice segments of ``domain`` jointly hold exactly one
-        histogram too.
-        """
-        context = self._context
-        if context.supports_fit_budget():
-            resident = self._bytes_per_entry * context.total_support_size()
-        else:
-            resident = streaming_scratch_bytes(context) * self._workers
-        return resident + 8 * context.domain_size
-
-    def close(self) -> None:
-        """Shut down the worker pool and unlink every shared-memory segment."""
-        if self._finalizer is not None:
-            self._finalizer()
-            self._finalizer = None
-        self._executor = None
-        self._pool_spec = None
-        self._shms = None
-        self._views = None
-        self._segments = []
-        self._session_open = False
 
 
 def _plan_domain_slices(
@@ -664,55 +318,69 @@ class DomainHistogramSession(HistogramSession):
         self._backend._session_open = False
 
 
-class DomainShardedBackend(ShardedBackend):
+class DomainShardedBackend(SparseBackend):
     """Domain-partitioned parallel evaluation: each shard owns a domain slice.
 
-    Where :class:`ShardedBackend` shards the CSR *rows* over one shared
-    ``8·|D|`` histogram, this backend shards the *domain*: every pool
-    worker owns a contiguous slice of the flat joint domain backed by its
-    own shared-memory segment of ``8·(slice length)`` bytes, so no single
-    allocation anywhere holds the full histogram — the representation that
-    scales past histograms one address space cannot hold.
+    Every pool worker owns a contiguous slice of the flat joint domain
+    backed by its own shared-memory segment of ``8·(slice length)`` bytes,
+    so no single allocation anywhere holds the full histogram — the
+    representation that scales past histograms one address space cannot
+    hold.
 
-    Two slice representations mirror the sharded strategies: while the
-    total support fits the sparse budget the concatenated CSR entries are
-    split at the slice bounds with flat indices re-indexed slice-locally
-    (``representation == "csr"``); beyond it each shard runs the chunked
-    scan over its (chunk-aligned) slice
-    (``representation == "chunked"``).
+    Two slice representations: while the total support fits the sparse
+    budget the concatenated CSR entries are split at the slice bounds with
+    flat indices re-indexed slice-locally (``representation == "csr"``);
+    beyond it each shard runs the chunked scan over its (chunk-aligned)
+    slice (``representation == "chunked"``).
 
     Cross-slice answer sums reassociate float additions, so answers match
     the serial sparse backend to 1e-9 relative rather than bitwise; PMW
     query selections remain bitwise reproducible under a fixed seed (the
     E18 benchmark asserts both).  Opt-in only (``mode="domain"``): the
-    automatic choice keeps preferring the bitwise-parity sharded backend,
-    so this strategy is chosen exactly where the histogram's own footprint
-    is the constraint.
+    automatic choice never picks it, and ``workers`` only sizes its pool.
     """
 
     name = "domain"
-    #: The global CSR plus the slice-local re-indexed copy.
-    _bytes_per_entry = 32
 
-    # -- pool management --------------------------------------------------
-    @property
-    def strategy(self) -> str:
-        """Always ``"domain"``: shards own domain slices, not query rows."""
-        return "domain"
+    def __init__(self, context: EvaluatorContext):
+        super().__init__(context)
+        self._executor: ProcessPoolExecutor | None = None
+        # What a restart needs: (mp_context, initializer arguments).
+        self._pool_spec: tuple | None = None
+        self._shms: list[shared_memory.SharedMemory] | None = None
+        self._views: list[np.ndarray] | None = None
+        # The flat [lo, hi) domain slice each segment holds, in shard order.
+        self._segments: list[tuple[int, int]] = []
+        self._key: int | None = None
+        self._finalizer: weakref.finalize | None = None
+        self._session_open = False
+
+    @classmethod
+    def normalize_workers(cls, workers: int) -> int:
+        """A process pool implies parallelism: the worker count floors at two."""
+        return max(2, super().normalize_workers(workers))
 
     @property
     def representation(self) -> str:
         """``"csr"`` while the supports fit the sparse budget, else ``"chunked"``."""
         return "csr" if self._context.supports_fit_budget() else "chunked"
 
-    def _worker_state(self) -> tuple[dict, int, list[tuple[int, int]]]:
-        """Per-slice CSR matrices or scan plans, and one segment per slice."""
+    def query_support(self, index: int) -> tuple[np.ndarray, np.ndarray]:
+        if self._context.supports_fit_budget():
+            return super().query_support(index)
+        # The chunked representation behaves like streaming: cache within
+        # the budget only, preserving the bounded-memory guarantee.
+        saved, self.caches_all_supports = self.caches_all_supports, False
+        try:
+            return super().query_support(index)
+        finally:
+            self.caches_all_supports = saved
+
+    # -- pool management --------------------------------------------------
+    def _worker_state(self) -> dict:
+        """Per-slice CSR matrices or scan plans, and the slices themselves."""
         context = self._context
-        state: dict = {
-            "strategy": "domain",
-            "num_queries": context.num_queries,
-            "representation": self.representation,
-        }
+        state: dict = {"representation": self.representation}
         if self.representation == "csr":
             slices = _plan_domain_slices(context.domain_size, self._workers)
             packed = self._ensure_packed()
@@ -725,7 +393,104 @@ class DomainShardedBackend(ShardedBackend):
             state["chunk_size"] = context.config.chunk_size
             state["plans"] = context.chunk_plans()
         state["slices"] = slices
-        return state, len(slices), slices
+        return state
+
+    def _start(self) -> None:
+        if self._executor is not None:
+            return
+        state = self._worker_state()
+        segments = state["slices"]
+        key = next(_BACKEND_KEYS)
+        shms: list[shared_memory.SharedMemory] = []
+        try:
+            views = []
+            for lo, hi in segments:
+                shm = shared_memory.SharedMemory(create=True, size=max(8 * (hi - lo), 8))
+                shms.append(shm)
+                views.append(np.ndarray((hi - lo,), dtype=np.float64, buffer=shm.buf))
+            state["histograms"] = views
+            # Under fork the workers inherit this entry (and the shm mappings)
+            # copy-on-write; nothing is pickled.  Under spawn the initializer
+            # rebuilds it from the pickled payload.
+            _WORKER_STATES[key] = state
+            # Fork only where it is the platform's default start method (Linux):
+            # on macOS fork is *available* but unsafe with threads/Accelerate,
+            # which is exactly why spawn is the default there.
+            use_fork = multiprocessing.get_start_method() == "fork"
+            payload = (
+                None
+                if use_fork
+                else {name: value for name, value in state.items() if name != "histograms"}
+            )
+            mp_context = multiprocessing.get_context("fork" if use_fork else "spawn")
+            telemetry_queue = None
+            telemetry_init = None
+            if _telemetry_enabled():
+                # The flush queue travels through initargs — the sanctioned
+                # inheritance channel under both fork and spawn.
+                telemetry_queue = create_flush_queue(mp_context)
+                telemetry_init = (True, telemetry_queue)
+            segment_names = tuple(
+                (shm.name, hi - lo) for shm, (lo, hi) in zip(shms, segments)
+            )
+            pool_spec = (mp_context, (key, segment_names, payload, telemetry_init))
+            executor = _new_pool(self._workers, pool_spec)
+        except BaseException:
+            # A failure after any segment was created — mid-way through the
+            # per-segment creation loop included — must not leave segments
+            # behind in /dev/shm (or a stale state entry).
+            _WORKER_STATES.pop(key, None)
+            state.pop("histograms", None)
+            views = None  # drop the buffer exports before closing the mappings
+            _release_segments(shms)
+            raise
+        self._executor = executor
+        self._pool_spec = pool_spec
+        self._shms = shms
+        self._views = views
+        self._segments = segments
+        self._key = key
+        self._finalizer = weakref.finalize(
+            self, _shutdown, executor, shms, key, telemetry_queue
+        )
+
+    def _restart_pool(self) -> None:
+        """Replace a broken pool by a new one over the same state and segments."""
+        assert self._finalizer is not None and self._pool_spec is not None
+        executor = _new_pool(self._workers, self._pool_spec)
+        _obj, _func, (broken, *teardown), _kwargs = self._finalizer.detach()
+        self._finalizer = weakref.finalize(self, _shutdown, executor, *teardown)
+        self._executor = executor
+        _stop_pool(broken)
+        if _telemetry_enabled():
+            _telemetry_registry().counter("pool.restarts", backend=self.name).add()
+
+    def _gather(self) -> np.ndarray:
+        futures = [
+            self._executor.submit(_eval_shard, self._key, shard_id)
+            for shard_id in range(len(self._segments))
+        ]
+        # Partial sums are combined in fixed shard order, keeping the result
+        # independent of worker scheduling.
+        answers = np.zeros(self._context.num_queries, dtype=np.float64)
+        for future in futures:
+            answers += future.result()
+        return answers
+
+    def _dispatch(self) -> np.ndarray:
+        """One parallel evaluation of the current per-slice segment contents.
+
+        A broken pool (a dead worker) is replaced once and the shards are
+        resubmitted; a second break raises ``BrokenProcessPool``.
+        """
+        assert self._executor is not None and self._key is not None
+        if _telemetry_enabled():
+            _telemetry_registry().counter("pool.dispatches", backend=self.name).add()
+        try:
+            return self._gather()
+        except BrokenProcessPool:
+            self._restart_pool()
+            return self._gather()
 
     def _slice_views(self) -> list[tuple[int, int, np.ndarray]]:
         """The ``(lo, hi, segment view)`` of every owned domain slice."""
@@ -754,6 +519,9 @@ class DomainShardedBackend(ShardedBackend):
                 "the shared-memory slices; evaluate through the session or "
                 "close it first"
             )
+        # Validate before starting the pool or touching the segments: a
+        # slice assignment would otherwise broadcast scalars (silently) or
+        # fail with an obscure shape error on wrong-length inputs.
         flat = self._context.validated_flat(flat)
         for lo, hi, view in self._slice_views():
             view[:] = flat[lo:hi]
@@ -782,3 +550,30 @@ class DomainShardedBackend(ShardedBackend):
                 view[:] = seed.cells(lo, hi, domain_size)
         self._session_open = True
         return DomainHistogramSession(self)
+
+    # -- lifecycle --------------------------------------------------------
+    def estimated_memory(self) -> int:
+        """The supports (or one scan chunk per worker) plus one histogram.
+
+        The CSR representation holds the global packed CSR plus its
+        slice-local re-indexed copy, 32 bytes per support entry; the
+        per-slice segments jointly hold exactly one histogram.
+        """
+        context = self._context
+        if context.supports_fit_budget():
+            resident = 32 * context.total_support_size()
+        else:
+            resident = streaming_scratch_bytes(context) * self._workers
+        return resident + 8 * context.domain_size
+
+    def close(self) -> None:
+        """Shut down the worker pool and unlink every shared-memory segment."""
+        if self._finalizer is not None:
+            self._finalizer()
+            self._finalizer = None
+        self._executor = None
+        self._pool_spec = None
+        self._shms = None
+        self._views = None
+        self._segments = []
+        self._session_open = False

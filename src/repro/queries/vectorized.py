@@ -20,9 +20,8 @@ from scratch.
 The packed CSR, the matrix and the column view depend only on the
 workload, so they are cached on the workload object
 (``workload.private_cache("vectorized")``) and shared by every evaluator
-over it.  :func:`shard_matvec_kernels` cuts the same CSR into row shards
-for the sharded backend's workers, whose partial answers are therefore
-bitwise equal to the serial matvec.
+over it.  :func:`slice_matrix` cuts the same CSR at domain-slice bounds
+for the ``domain`` backend's workers.
 """
 
 from __future__ import annotations
@@ -130,26 +129,17 @@ class IncrementalHistogramSession(ArrayHistogramSession):
     (the delta sums reassociate).  :meth:`fill`, and a delta whose column
     entries exceed half of ``Σnnz`` (a counting query, say) — where the
     gather costs more than a full matvec — drop the cache, and the next
-    :meth:`answers` recomputes.  Without a column view (``columns=None``)
-    every :meth:`answers` evaluates afresh.
+    :meth:`answers` recomputes.
     """
 
-    def __init__(
-        self, backend: "SparseBackend", array: np.ndarray, columns: ColumnView | None
-    ):
+    def __init__(self, backend: "SparseBackend", array: np.ndarray, columns: ColumnView):
         super().__init__(backend, array)
         self._columns = columns
         self._answers: np.ndarray | None = None
 
-    def _evaluate(self) -> np.ndarray:
-        """A fresh evaluation of the whole session histogram."""
-        return super().answers()
-
     def answers(self) -> np.ndarray:
-        if self._columns is None:
-            return self._evaluate()
         if self._answers is None:
-            self._answers = self._evaluate()
+            self._answers = super().answers()
         return self._answers.copy()
 
     def scale_support(self, indices: np.ndarray, factors: np.ndarray) -> None:
@@ -174,36 +164,6 @@ class IncrementalHistogramSession(ArrayHistogramSession):
     def fill(self, value: float) -> None:
         super().fill(value)
         self._answers = None
-
-
-def shard_matvec_kernels(
-    row_bounds: np.ndarray, packed: PackedWorkload, domain_size: int
-) -> tuple[list[tuple[int, int]], list[sparse.csr_matrix]]:
-    """CSR matvec kernels for the sharded backend's row shards.
-
-    ``row_bounds`` are the shard boundaries in *query rows*.  Returns
-    ``(row spans, matrices)``: one ``csr_matrix`` per shard over exactly
-    its rows, whose matvec accumulates each row in the same element order
-    as the full matrix (bitwise-identical partials).
-    """
-    offsets = packed.indptr
-    spans: list[tuple[int, int]] = []
-    matrices = []
-    for shard in range(len(row_bounds) - 1):
-        row_lo, row_hi = int(row_bounds[shard]), int(row_bounds[shard + 1])
-        entry_lo, entry_hi = int(offsets[row_lo]), int(offsets[row_hi])
-        matrices.append(
-            sparse.csr_matrix(
-                (
-                    packed.values[entry_lo:entry_hi],
-                    packed.indices[entry_lo:entry_hi],
-                    offsets[row_lo : row_hi + 1] - offsets[row_lo],
-                ),
-                shape=(row_hi - row_lo, int(domain_size)),
-            )
-        )
-        spans.append((row_lo, row_hi))
-    return spans, matrices
 
 
 def slice_matrix(packed: PackedWorkload, lo: int, hi: int) -> sparse.csr_matrix:

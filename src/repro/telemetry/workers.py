@@ -1,6 +1,6 @@
 """Cross-process aggregation: per-worker buffers and the flush/drain protocol.
 
-Pool workers (the sharded and domain evaluation backends) cannot share the
+Pool workers (of the ``domain`` evaluation backend) cannot share the
 parent's registry — they are separate processes.  Instead each worker owns a
 *fresh* process-local registry and ring (:func:`init_worker_telemetry`,
 called from the pool initializer), records into it exactly like the parent

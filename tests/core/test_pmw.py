@@ -235,9 +235,9 @@ class TestRenormalisation:
 
     The renormalisation divides by the session total; a fully clamped (or
     underflowed) histogram reports total 0 and a corrupted one NaN or inf.
-    Dividing by either would poison every cell — and, under the sharded
-    backend, the shared-memory view all workers read — so such sessions are
-    reset to the uniform start histogram instead.
+    Dividing by either would poison every cell — and, under the domain
+    backend, the shared-memory slices the workers read — so such sessions
+    are reset to the uniform start histogram instead.
     """
 
     def _session(self, query, value):

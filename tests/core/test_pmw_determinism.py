@@ -3,12 +3,11 @@
 PMW's selection path (exponential mechanism + Laplace measurement) consumes
 randomness from a seeded generator, so with a fixed seed the *selected query
 sequence* and the *noisy total* must be bitwise identical no matter which of
-the five evaluation backends answers the workload — dense, sparse,
-streaming, sharded (csr and chunked), or domain-partitioned at any worker
-count.  The released histograms agree to 1e-9 relative rather than bitwise:
-multi-shard and multi-slice backends reassociate floating-point partial
-sums, and the sparse and csr-sharded sessions maintain their answers per
-support delta.
+the four evaluation backends answers the workload — dense, sparse,
+streaming, or domain-partitioned (csr and chunked) at any worker count.
+The released histograms agree to 1e-9 relative rather than bitwise:
+multi-slice evaluations reassociate floating-point partial sums, and the
+sparse session maintains its answers per support delta.
 """
 
 import numpy as np
@@ -21,23 +20,21 @@ from repro.relational.hypergraph import two_table_query
 from repro.relational.instance import Instance
 
 #: (backend name, evaluator kwargs) — the full matrix of evaluation paths.
-#: The sharded/domain entries with ``sparse_cell_budget=1`` force the
-#: chunked representation (CSR no longer fits the budget), so both
-#: representations of both multi-process strategies are covered.  The
-#: streaming scan runs serially whatever the worker count, with a ragged
-#: tail chunk at ``chunk_size=7``.
+#: The domain entries with ``sparse_cell_budget=1`` force the chunked
+#: representation (CSR no longer fits the budget), so both representations
+#: of the multi-process backend are covered, the last with a ragged tail
+#: chunk in the final slice.  The streaming scan runs serially whatever the
+#: worker count, with a ragged tail chunk at ``chunk_size=7``.
 BACKEND_MATRIX = [
     ("dense", {}),
     ("sparse", {}),
     ("streaming", {"chunk_size": 32}),
     ("streaming", {"chunk_size": 7}),
     ("streaming", {"chunk_size": 32, "workers": 2}),
-    ("sharded", {"workers": 2}),
-    ("sharded", {"workers": 3}),
-    ("sharded", {"workers": 2, "sparse_cell_budget": 1, "chunk_size": 32}),
     ("domain", {"workers": 2}),
     ("domain", {"workers": 3}),
     ("domain", {"workers": 2, "sparse_cell_budget": 1, "chunk_size": 32}),
+    ("domain", {"workers": 3, "sparse_cell_budget": 1, "chunk_size": 7}),
 ]
 
 

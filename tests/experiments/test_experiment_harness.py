@@ -27,7 +27,6 @@ from repro.experiments import (
     e13_single_table_pmw,
     e14_privacy_audit,
     e15_evaluator_scaling,
-    e16_sharded_evaluation,
     e18_domain_partitioned,
     e20_observability,
 )
@@ -36,7 +35,7 @@ from repro.experiments import (
 class TestRegistry:
     def test_all_experiments_registered_and_described(self):
         assert set(EXPERIMENTS) == set(DESCRIPTIONS)
-        assert len(EXPERIMENTS) == 18
+        assert len(EXPERIMENTS) == 17
         for name, runner in EXPERIMENTS.items():
             assert callable(runner), name
 
@@ -169,26 +168,6 @@ class TestIndividualExperiments:
         for row in result["rows"]:
             assert row["answers_match"], row
         assert result["dense_cells"] == result["num_queries"] * result["domain_size"]
-
-    def test_e16_sharded_evaluation(self):
-        result = e16_sharded_evaluation.run(
-            size_a=8,
-            size_b=4,
-            size_c=8,
-            workers=2,
-            eval_repeats=1,
-            pmw_rounds=2,
-            tuples_per_relation=60,
-            chunk_size=256,
-            seed=0,
-        )
-        assert {row["backend"] for row in result["rows"]} == {"sparse", "sharded"}
-        assert result["workers"] == 2
-        # The parity contract holds even at smoke size: answers match the
-        # serial sparse path and PMW selections are bitwise identical.
-        assert result["answers_match"], result["max_abs_diff"]
-        assert result["selections_match"]
-        assert result["histograms_match"]
 
     def test_e18_domain_partitioned(self):
         result = e18_domain_partitioned.run(

@@ -1,10 +1,10 @@
 """Backend name table and cross-backend parity tests.
 
-Every evaluation backend — including the sharded multiprocessing backend
-with 2 workers — must be interchangeable: identical instance answers,
-histogram answers within 1e-9 (bitwise for the sharded CSR strategy vs
-serial sparse), and supports that round-trip to the dense query vectors.
-The shared-evaluator cache must die with its workload.
+Every evaluation backend — including the domain-partitioned
+multiprocessing backend with 2 workers — must be interchangeable: identical
+instance answers, histogram answers within 1e-9, and supports that
+round-trip to the dense query vectors.  The shared-evaluator cache must die
+with its workload.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from repro.queries.backends import (
     HistogramSeed,
     iter_decoded_chunks,
 )
-from repro.queries.sharded import ShardedBackend
+from repro.queries.sharded import DomainShardedBackend, _plan_domain_slices
 from repro.queries.evaluation import (
     BACKENDS,
     WorkloadEvaluator,
@@ -38,7 +38,6 @@ from repro.relational.instance import Instance
 _BUILTIN_BACKENDS = {
     "dense",
     "sparse",
-    "sharded",
     "streaming",
     "domain",
 }
@@ -94,6 +93,16 @@ class TestBackendTable:
             set_default_backend("prefetch")
         assert get_default_backend() == ("auto", 1)
 
+    def test_removed_sharded_mode_rejected(self):
+        workload = _random_workload(0)
+        with pytest.raises(ValueError, match="unknown evaluator backend"):
+            WorkloadEvaluator(workload, mode="sharded", workers=2)
+        with pytest.raises(ValueError, match="unknown evaluator backend"):
+            shared_evaluator(workload, backend="sharded")
+        with pytest.raises(ValueError, match="unknown evaluator backend"):
+            set_default_backend("sharded", workers=2)
+        assert get_default_backend() == ("auto", 1)
+
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
 class TestBackendParity:
@@ -119,19 +128,12 @@ class TestBackendParity:
             for histogram in histograms:
                 reference = evaluators["dense"].answers_on_histogram(histogram)
                 scale = max(1.0, float(np.abs(reference).max()))
-                sparse_answers = evaluators["sparse"].answers_on_histogram(histogram)
                 for name, evaluator in evaluators.items():
                     answers = evaluator.answers_on_histogram(histogram)
                     assert np.max(np.abs(answers - reference)) <= 1e-9 * scale, name
                     assert np.array_equal(
                         evaluator.answers_on_instance(instance), reference_instance
                     ), name
-                # Row-sharding keeps the sharded CSR strategy bitwise equal
-                # to the serial sparse accumulation, not just 1e-9 close.
-                assert evaluators["sharded"].backend.strategy == "csr"
-                assert np.array_equal(
-                    evaluators["sharded"].answers_on_histogram(histogram), sparse_answers
-                )
             for index in range(len(workload)):
                 dense_vector = evaluators["dense"].query_values(index)
                 for name, evaluator in evaluators.items():
@@ -148,8 +150,9 @@ class TestBackendParity:
 
 
     def test_auto_choice_follows_the_rule(self, seed):
-        """``auto`` picks the first of dense / sharded / sparse / streaming
-        whose condition holds, and the constructor agrees with the planner."""
+        """``auto`` picks the first of dense / sparse / streaming whose
+        condition holds, whatever the worker count, and the constructor
+        agrees with the planner."""
         workload = _random_workload(seed)
         dense_cells = len(workload) * workload.join_query.joint_domain_size
         total_support = WorkloadEvaluator(workload, mode="sparse").total_support_size()
@@ -162,13 +165,12 @@ class TestBackendParity:
         ):
             if dense_cells <= kwargs.get("cell_budget", dense_cells):
                 expected = "dense"
-            elif kwargs.get("workers", 1) >= 2:
-                expected = "sharded"
             elif total_support <= kwargs.get("sparse_cell_budget", total_support):
                 expected = "sparse"
             else:
                 expected = "streaming"
-            assert auto_evaluator_mode(workload, **kwargs) == expected, kwargs
+            budgets = {key: value for key, value in kwargs.items() if key != "workers"}
+            assert auto_evaluator_mode(workload, **budgets) == expected, kwargs
             constructed = WorkloadEvaluator(workload, **kwargs)
             try:
                 assert constructed.mode == expected, kwargs
@@ -195,105 +197,6 @@ class TestStreamingScan:
         assert np.array_equal(
             streaming.answers_on_instance(instance), dense.answers_on_instance(instance)
         )
-
-
-class TestShardedBackend:
-    def test_chunked_strategy_matches_serial_streaming(self):
-        workload = _random_workload(0)
-        rng = np.random.default_rng(3)
-        histogram = rng.random(workload.join_query.shape) * 5.0
-        serial = WorkloadEvaluator(workload, mode="streaming", chunk_size=16)
-        sharded = WorkloadEvaluator(
-            workload, mode="sharded", workers=2, sparse_cell_budget=1, chunk_size=16
-        )
-        try:
-            assert sharded.backend.strategy == "chunked"
-            reference = serial.answers_on_histogram(histogram)
-            scale = max(1.0, float(np.abs(reference).max()))
-            answers = sharded.answers_on_histogram(histogram)
-            assert np.max(np.abs(answers - reference)) <= 1e-9 * scale
-        finally:
-            sharded.close()
-
-    def test_pmw_selections_bitwise_identical(self):
-        workload = _random_workload(0)
-        rng = np.random.default_rng(4)
-        instance = _random_instance(workload, rng)
-        serial = WorkloadEvaluator(workload, mode="sparse")
-        sharded = WorkloadEvaluator(workload, mode="sharded", workers=2)
-        config = PMWConfig(num_iterations=4)
-        try:
-            results = [
-                private_multiplicative_weights(
-                    instance, workload, 1.0, 1e-5, 2.0,
-                    seed=17, evaluator=evaluator, config=config,
-                )
-                for evaluator in (serial, sharded)
-            ]
-            assert results[0].selected_queries == results[1].selected_queries
-            assert np.array_equal(results[0].histogram, results[1].histogram)
-        finally:
-            sharded.close()
-
-    def test_session_deltas_reach_workers(self):
-        """In-place session writes must be visible to the next evaluation."""
-        workload = _random_workload(0)
-        rng = np.random.default_rng(6)
-        flat = rng.random(workload.join_query.joint_domain_size)
-        serial = WorkloadEvaluator(workload, mode="sparse")
-        sharded = WorkloadEvaluator(workload, mode="sharded", workers=2)
-        try:
-            session = sharded.histogram_session(flat)
-            reference = serial.histogram_session(flat)
-            assert np.array_equal(session.answers(), serial.answers_on_histogram(flat))
-            assert np.array_equal(session.answers(), reference.answers())
-            indices = np.array([0, 2, 5], dtype=np.int64)
-            for ops in (session, reference):
-                ops.scale_support(indices, np.full(3, 1.5))
-                ops.scale(2.0)
-            expected = flat.copy()
-            expected[indices] *= 1.5
-            expected *= 2.0
-            # The session maintains its answers as the serial session does;
-            # a fresh dispatch reads the written segment in the workers.
-            assert np.array_equal(session.answers(), reference.answers())
-            assert np.array_equal(
-                sharded.backend._dispatch(), serial.answers_on_histogram(expected)
-            )
-            assert session.total() == pytest.approx(float(expected.sum()))
-            session.close()
-            reference.close()
-        finally:
-            sharded.close()
-
-    def test_sessions_own_their_array_and_guard_the_shared_histogram(self):
-        workload = _random_workload(0)
-        rng = np.random.default_rng(7)
-        flat = rng.random(workload.join_query.joint_domain_size)
-        pristine = flat.copy()
-        serial = WorkloadEvaluator(workload, mode="sparse")
-        sharded = WorkloadEvaluator(workload, mode="sharded", workers=2)
-        try:
-            # Serial sessions copy the seed: mutations never reach the caller.
-            session = serial.histogram_session(flat)
-            session.scale(2.0)
-            session.fill(0.0)
-            assert np.array_equal(flat, pristine)
-            session.close()
-            # The sharded backend has one shared-memory histogram: while a
-            # session owns it, other evaluations must refuse rather than
-            # silently clobber the session's state.
-            session = sharded.histogram_session(flat)
-            with pytest.raises(RuntimeError):
-                sharded.answers_on_histogram(flat)
-            with pytest.raises(RuntimeError):
-                sharded.histogram_session(flat)
-            session.close()
-            assert np.array_equal(
-                sharded.answers_on_histogram(flat), serial.answers_on_histogram(flat)
-            )
-        finally:
-            sharded.close()
 
 
 class TestDomainBackend:
@@ -424,6 +327,57 @@ class TestDomainBackend:
             csr.close()
             chunked.close()
 
+    @pytest.mark.parametrize(
+        "domain_size, shards, chunk_size",
+        [(120, 2, None), (120, 3, 16), (10, 4, 8)],
+    )
+    def test_planned_slices_tile_the_domain(self, domain_size, shards, chunk_size):
+        """Contiguous, covering, chunk-aligned; tiny domains get fewer slices."""
+        slices = _plan_domain_slices(domain_size, shards, chunk_size)
+        assert slices[0][0] == 0 and slices[-1][1] == domain_size
+        assert all(hi == next_lo for (_, hi), (next_lo, _) in zip(slices, slices[1:]))
+        assert all(lo < hi for lo, hi in slices)
+        assert len(slices) <= shards
+        if chunk_size:
+            assert all(lo % chunk_size == 0 for lo, _ in slices)
+        # Ten cells in chunks of eight: two chunks, so at most two slices.
+        if domain_size == 10:
+            assert slices == [(0, 8), (8, 10)]
+
+    @pytest.mark.parametrize("representation", ["csr", "chunked"])
+    def test_estimated_memory_counts_one_histogram(self, representation):
+        workload = _random_workload(0)
+        budgets = {} if representation == "csr" else {"sparse_cell_budget": 1}
+        evaluator = WorkloadEvaluator(
+            workload, mode="domain", workers=3, chunk_size=16, **budgets
+        )
+        backend = evaluator.backend
+        assert backend.representation == representation
+        histogram_bytes = 8 * workload.join_query.joint_domain_size
+        if representation == "csr":
+            # The packed CSR plus its slice-local re-indexed copy.
+            resident = 32 * evaluator.total_support_size()
+        else:
+            # One scan chunk per worker: decoded indices, values, slice.
+            resident = 3 * 8 * 16 * (len(workload.join_query.shape) + 2)
+        assert backend.estimated_memory() == resident + histogram_bytes
+        evaluator.close()
+
+    def test_chunked_representation_caches_supports_within_the_budget(self):
+        """Beyond the sparse budget, supports are built on demand, not kept."""
+        workload = _random_workload(0)
+        evaluator = WorkloadEvaluator(
+            workload, mode="domain", workers=2, sparse_cell_budget=1, chunk_size=16
+        )
+        dense = WorkloadEvaluator(workload, mode="dense")
+        backend = evaluator.backend
+        for index in range(len(workload)):
+            indices, values = evaluator.query_support(index)
+            assert np.array_equal(indices, dense.query_support(index)[0])
+            assert np.array_equal(values, dense.query_support(index)[1])
+        assert backend._cached_support_entries <= 1
+        evaluator.close()
+
     def test_mid_segment_creation_failure_unwinds_earlier_segments(
         self, monkeypatch, shm_segments
     ):
@@ -499,26 +453,38 @@ class TestSharedEvaluatorCache:
             set_default_backend()
         assert get_default_backend() == ("auto", 1)
 
-    def test_default_worker_count_respected_for_sharded_default(self):
+    def test_default_worker_count_respected_for_domain_default(self):
         """CLI-style defaults must reach shared_evaluator unchanged."""
         workload = _random_workload(1)
         try:
-            set_default_backend("sharded", workers=4)
+            set_default_backend("domain", workers=4)
             evaluator = shared_evaluator(workload)
-            assert evaluator.mode == "sharded"
+            assert evaluator.mode == "domain"
             assert evaluator.workers == 4
-            # An explicit sharded request without a worker count still
+            # An explicit domain request without a worker count still
             # implies parallelism.
-            explicit = shared_evaluator(workload, backend="sharded")
+            explicit = shared_evaluator(workload, backend="domain")
             assert explicit.workers == 2
         finally:
             set_default_backend()
 
-    def test_worker_counts_canonicalised_in_cache_key(self):
-        """Equivalent requests (sharded w=1 vs w=2) share one cache entry."""
+    def test_default_worker_count_does_not_steer_auto(self):
+        """``--workers`` with the auto backend keeps the serial choice."""
         workload = _random_workload(1)
-        assert shared_evaluator(workload, backend="sharded", workers=1) is (
-            shared_evaluator(workload, backend="sharded", workers=2)
+        try:
+            set_default_backend("auto", workers=4)
+            evaluator = WorkloadEvaluator(workload, cell_budget=10)
+            assert evaluator.workers == 4
+            assert evaluator.mode == "sparse"
+            assert shared_evaluator(workload).mode == "dense"
+        finally:
+            set_default_backend()
+
+    def test_worker_counts_canonicalised_in_cache_key(self):
+        """Equivalent requests (domain w=1 vs w=2) share one cache entry."""
+        workload = _random_workload(1)
+        assert shared_evaluator(workload, backend="domain", workers=1) is (
+            shared_evaluator(workload, backend="domain", workers=2)
         )
 
 
@@ -556,23 +522,59 @@ class TestChunkIterator:
 
 
 class TestBackendLifecycle:
-    def test_sharded_reuse_after_close_restarts_pool(self):
+    def test_domain_reuse_after_close_restarts_pool(self):
         workload = _random_workload(1)
         rng = np.random.default_rng(9)
         histogram = rng.random(workload.join_query.shape)
         serial = WorkloadEvaluator(workload, mode="sparse")
-        evaluator = WorkloadEvaluator(workload, mode="sharded", workers=2)
+        evaluator = WorkloadEvaluator(workload, mode="domain", workers=2)
         try:
-            expected = serial.answers_on_histogram(histogram)
-            assert np.array_equal(evaluator.answers_on_histogram(histogram), expected)
+            reference = serial.answers_on_histogram(histogram)
+            scale = max(1.0, float(np.abs(reference).max()))
+            expected = evaluator.answers_on_histogram(histogram)
+            assert np.max(np.abs(expected - reference)) <= 1e-9 * scale
             evaluator.close()
-            # close() tore down the pool and the shared segment; the next
-            # evaluation must restart both cleanly.
+            # close() tore down the pool and the slice segments; the next
+            # evaluation must restart both cleanly, over the same slices.
             assert np.array_equal(evaluator.answers_on_histogram(histogram), expected)
         finally:
             evaluator.close()
 
-    @pytest.mark.parametrize("mode", ["sharded", "domain"])
+    def test_close_unlinks_every_slice_segment(self, shm_segments):
+        workload = _random_workload(1)
+        baseline = shm_segments()
+        evaluator = WorkloadEvaluator(workload, mode="domain", workers=3)
+        try:
+            evaluator.answers_on_histogram(np.ones(workload.join_query.shape))
+            slices = evaluator.backend.slice_plan()
+            assert len(slices) == 3
+            assert len(shm_segments() - baseline) == len(slices)
+        finally:
+            evaluator.close()
+        assert shm_segments() == baseline
+        evaluator.close()  # a second close is a no-op
+        assert shm_segments() == baseline
+
+    @pytest.mark.parametrize("mode", ["dense", "sparse", "streaming", "domain"])
+    def test_sessions_never_mutate_the_caller_seed(self, mode):
+        """Every backend copies the seed into session storage it owns."""
+        workload = _random_workload(0)
+        rng = np.random.default_rng(7)
+        flat = rng.random(workload.join_query.joint_domain_size)
+        pristine = flat.copy()
+        evaluator = WorkloadEvaluator(workload, mode=mode, workers=2, chunk_size=16)
+        try:
+            session = evaluator.histogram_session(flat)
+            session.scale_support(np.array([0, 3], dtype=np.int64), np.array([2.0, 0.5]))
+            session.scale(2.0)
+            session.accumulate()
+            session.fill(0.0)
+            assert np.array_equal(flat, pristine)
+            session.close()
+        finally:
+            evaluator.close()
+
+    @pytest.mark.parametrize("mode", ["domain"])
     def test_start_failure_does_not_leak_shm(self, mode, monkeypatch, shm_segments):
         workload = _random_workload(0)
         histogram = np.zeros(workload.join_query.shape)
@@ -601,29 +603,14 @@ class TestBackendLifecycle:
     def test_worker_floor_agrees_across_construction_paths(self):
         """Direct backend construction obeys the same invariant as the facade."""
         workload = _random_workload(0)
-        facade = WorkloadEvaluator(workload, mode="sharded", workers=1)
+        facade = WorkloadEvaluator(workload, mode="domain", workers=1)
         assert facade.workers == 2
         context = EvaluatorContext(workload, EvaluatorConfig(workers=1))
-        backend = ShardedBackend(context)
+        backend = DomainShardedBackend(context)
         assert backend.workers == 2
         # The caller's context is not mutated: it keeps the worker count the
         # caller actually configured.
         assert context.config.workers == 1
-
-    def test_sharded_evaluates_overlapping_views_of_its_histogram(self):
-        """A view of the shm histogram (e.g. reversed) must actually land."""
-        workload = _random_workload(0)
-        rng = np.random.default_rng(15)
-        flat = rng.random(workload.join_query.joint_domain_size)
-        serial = WorkloadEvaluator(workload, mode="sparse")
-        sharded = WorkloadEvaluator(workload, mode="sharded", workers=2)
-        try:
-            sharded.answers_on_histogram(flat)  # seed the shared segment
-            view = sharded.backend._histogram_view()
-            expected = serial.answers_on_histogram(view[::-1].copy())
-            assert np.array_equal(sharded.answers_on_histogram(view[::-1]), expected)
-        finally:
-            sharded.close()
 
     def test_invalid_worker_counts_rejected_for_named_backends(self):
         """A floor is a convenience; a typo'd count is an error, like auto."""
@@ -631,11 +618,11 @@ class TestBackendLifecycle:
         with pytest.raises(ValueError, match="workers"):
             WorkloadEvaluator(workload, mode="sparse", workers=0)
         with pytest.raises(ValueError, match="workers"):
-            shared_evaluator(workload, backend="sharded", workers=-1)
+            shared_evaluator(workload, backend="domain", workers=-1)
 
-    def test_sharded_validates_histogram_writes(self):
+    def test_domain_validates_histogram_writes(self):
         workload = _random_workload(0)
-        evaluator = WorkloadEvaluator(workload, mode="sharded", workers=2)
+        evaluator = WorkloadEvaluator(workload, mode="domain", workers=2)
         try:
             backend = evaluator.backend
             with pytest.raises(ValueError, match="cells"):

@@ -1,13 +1,14 @@
 """The one CSR kernel against the bincount matvec it replaced.
 
-The reference below is the former serial ``SparseBackend`` matvec and the
-former ``sharded`` worker's row-shard matvec, copied verbatim with only the
-backend attributes they read turned into arguments: per-entry int64 row
-ids, then ``np.bincount`` over ``values * flat[indices]``.  Both
-accumulate every row left to right in entry order, the order a
-``scipy.sparse.csr_matrix`` matvec uses, so the serial ``sparse`` answers
-and every ``sharded`` partial must equal the reference bitwise.  ``domain``
-sums per-slice partials, so it keeps its 1e-9 relative contract.
+The reference below is the former serial ``SparseBackend`` matvec, copied
+verbatim with only the backend attributes it reads turned into arguments:
+per-entry int64 row ids, then ``np.bincount`` over
+``values * flat[indices]``.  It accumulates every row left to right in entry
+order, the order a ``scipy.sparse.csr_matrix`` matvec uses, so the serial
+``sparse`` answers must equal the reference bitwise, and so must every
+``domain`` slice partial against the reference restricted to the slice's
+entries.  The combined ``domain`` answers sum per-slice partials, so
+against the whole-domain reference they keep a 1e-9 relative contract.
 
 The workloads cover the counting query (a full-domain row), signed
 fractional weights, one-hot marginals, and a query with an empty support.
@@ -36,35 +37,24 @@ def bincount_answers(
     return np.bincount(row_ids, weights=values * flat[indices], minlength=indptr.size - 1)
 
 
-def bincount_shard_partials(
+def bincount_slice_partials(
     indptr: np.ndarray,
     indices: np.ndarray,
     values: np.ndarray,
     flat: np.ndarray,
-    workers: int,
+    slices: list[tuple[int, int]],
 ) -> list[np.ndarray]:
-    """The former ``sharded`` row shards and their worker bincount, in shard order."""
+    """The bincount matvec restricted to each ``[lo, hi)`` domain slice."""
     num_queries = indptr.size - 1
     row_ids = np.repeat(np.arange(num_queries, dtype=np.int64), np.diff(indptr))
-    counts = np.bincount(row_ids, minlength=num_queries).astype(np.int64)
-    offsets = np.concatenate(([0], np.cumsum(counts)))
-    total = int(offsets[-1])
-    targets = (total * np.arange(1, workers)) // workers
-    row_bounds = np.unique(
-        np.concatenate(([0], np.searchsorted(offsets, targets, side="left"), [len(counts)]))
-    )
-    shards = [
-        (int(offsets[row_bounds[i]]), int(offsets[row_bounds[i + 1]]))
-        for i in range(len(row_bounds) - 1)
-    ]
     partials = []
-    for lo, hi in shards:
-        rows = row_ids[lo:hi]
-        shard_indices = indices[lo:hi]
-        shard_values = values[lo:hi]
+    for lo, hi in slices:
+        inside = (indices >= lo) & (indices < hi)
         partials.append(
             np.bincount(
-                rows, weights=shard_values * flat[shard_indices], minlength=num_queries
+                row_ids[inside],
+                weights=values[inside] * flat[indices[inside]],
+                minlength=num_queries,
             )
         )
     return partials
@@ -154,21 +144,22 @@ def test_serial_sparse_is_bitwise_the_bincount_matvec(case):
 
 
 @pytest.mark.parametrize("workers", [2, 3])
-def test_sharded_partials_are_bitwise_the_worker_bincount(case, workers):
+def test_domain_slice_partials_are_bitwise_the_slice_bincount(case, workers):
     workload, flat = case
-    evaluator = WorkloadEvaluator(workload, mode="sharded", workers=workers)
+    evaluator = WorkloadEvaluator(workload, mode="domain", workers=workers)
     try:
         backend = evaluator.backend
-        indptr, indices, values = packed_arrays(evaluator)
-        reference = bincount_shard_partials(indptr, indices, values, flat, workers)
+        slices = list(backend.slice_plan())
+        reference = bincount_slice_partials(*packed_arrays(evaluator), flat, slices)
         # The parent holds the same worker state the pool forks from, so each
-        # shard's partial can be evaluated in-process against the segment.
-        backend._histogram_view()[:] = flat
-        assert backend._num_shards == len(reference)
+        # slice's partial can be evaluated in-process against its segment.
+        for lo, hi, view in backend._slice_views():
+            view[:] = flat[lo:hi]
         for shard_id, expected in enumerate(reference):
             assert np.array_equal(
                 sharded._eval_shard_impl(backend._key, shard_id), expected
             ), shard_id
+        # The pool sums the same partials in slice order.
         combined = np.zeros(len(workload))
         for partial in reference:
             combined += partial

@@ -134,24 +134,25 @@ class TestModeSelection:
         "cell_budget, sparse_cell_budget, workers, expected",
         [
             (10**9, 10**9, 1, "dense"),
+            (10**9, 10**9, 2, "dense"),
             (10**9, 10, 2, "dense"),
-            (10, 10**9, 2, "sharded"),
-            (10, 10, 2, "sharded"),
             (10, 10**9, 1, "sparse"),
+            (10, 10**9, 2, "sparse"),
             (10, 10, 1, "streaming"),
+            (10, 10, 2, "streaming"),
         ],
     )
     def test_auto_rule(self, workload, cell_budget, sparse_cell_budget, workers, expected):
-        """dense, else sharded with >= 2 workers, else sparse, else streaming."""
-        budgets = dict(
-            cell_budget=cell_budget, sparse_cell_budget=sparse_cell_budget, workers=workers
-        )
+        """dense, else sparse, else streaming; the worker count never steers it."""
+        budgets = dict(cell_budget=cell_budget, sparse_cell_budget=sparse_cell_budget)
         assert auto_evaluator_mode(workload, **budgets) == expected
-        evaluator = WorkloadEvaluator(workload, **budgets)
-        try:
-            assert evaluator.mode == expected
-        finally:
-            evaluator.close()
+        for count in {1, workers}:
+            evaluator = WorkloadEvaluator(workload, workers=count, **budgets)
+            try:
+                assert evaluator.mode == expected
+                assert evaluator.workers == count
+            finally:
+                evaluator.close()
 
     def test_sparse_exactly_while_the_supports_fit(self, workload):
         total = WorkloadEvaluator(workload, mode="sparse").total_support_size()

@@ -1,11 +1,11 @@
 """A dead pool worker is replaced once instead of poisoning the evaluator.
 
-Fault injection: a worker of the ``sharded`` / ``domain`` pool is killed
-between PMW rounds.  The next evaluation meets the broken pool, starts one
-new pool over the same worker state and parent-owned shared-memory
-segments, and resubmits — so the PMW run selects, measures and releases
-exactly what an unfaulted run of the same backend does, and the restart is
-counted once on ``pool.restarts``.  A pool that breaks again before the
+Fault injection: a worker of the ``domain`` pool is killed between PMW
+rounds, with the CSR and with the chunked slice representation.  The next
+evaluation meets the broken pool, starts one new pool over the same worker
+state and parent-owned shared-memory segments, and resubmits — so the PMW
+run selects, measures and releases exactly what an unfaulted run of the
+same backend does, and the restart is counted once on ``pool.restarts``.  A pool that breaks again before the
 resubmission completes raises instead of restarting in a loop.
 """
 
@@ -26,7 +26,11 @@ from repro.queries.workload import Workload
 from repro.relational.hypergraph import two_table_query
 from repro.relational.instance import Instance
 
-BACKENDS = ["sharded", "domain"]
+#: ``(id, evaluator kwargs)`` of the pool configurations under test.
+BACKENDS = {
+    "domain": {},
+    "domain-chunked": {"sparse_cell_budget": 1, "chunk_size": 16},
+}
 CONFIG = PMWConfig(num_iterations=6)
 
 
@@ -69,8 +73,8 @@ def _kill_before_dispatch(monkeypatch, backend, call: int) -> None:
     monkeypatch.setattr(backend, "_dispatch", faulty)
 
 
-def _restarts(name: str) -> float:
-    return telemetry.registry().flat().get(f"pool.restarts{{backend={name}}}", 0.0)
+def _restarts() -> float:
+    return telemetry.registry().flat().get("pool.restarts{backend=domain}", 0.0)
 
 
 @pytest.fixture
@@ -81,33 +85,33 @@ def recording():
     telemetry.disable()
 
 
-@pytest.mark.parametrize("name", BACKENDS)
-def test_killed_worker_is_replaced_between_rounds(name, monkeypatch, recording):
+@pytest.mark.parametrize("kwargs", BACKENDS.values(), ids=BACKENDS.keys())
+def test_killed_worker_is_replaced_between_rounds(kwargs, monkeypatch, recording):
     instance, workload = _setup()
-    unfaulted = WorkloadEvaluator(workload, mode=name, workers=2)
+    unfaulted = WorkloadEvaluator(workload, mode="domain", workers=2, **kwargs)
     try:
         reference = _pmw(instance, workload, unfaulted)
     finally:
         unfaulted.close()
-    assert _restarts(name) == 0
+    assert _restarts() == 0
 
-    evaluator = WorkloadEvaluator(workload, mode=name, workers=2)
+    evaluator = WorkloadEvaluator(workload, mode="domain", workers=2, **kwargs)
     try:
         _kill_before_dispatch(monkeypatch, evaluator.backend, call=3)
         result = _pmw(instance, workload, evaluator)
     finally:
         evaluator.close()
-    assert _restarts(name) == 1
+    assert _restarts() == 1
     assert len(result.selected_queries) == CONFIG.num_iterations
     assert result.selected_queries == reference.selected_queries
     assert result.noisy_total == reference.noisy_total
     assert np.array_equal(result.histogram, reference.histogram)
 
 
-@pytest.mark.parametrize("name", BACKENDS)
-def test_a_second_break_raises_instead_of_looping(name, monkeypatch, recording):
+@pytest.mark.parametrize("kwargs", BACKENDS.values(), ids=BACKENDS.keys())
+def test_a_second_break_raises_instead_of_looping(kwargs, monkeypatch, recording):
     instance, workload = _setup()
-    evaluator = WorkloadEvaluator(workload, mode=name, workers=2)
+    evaluator = WorkloadEvaluator(workload, mode="domain", workers=2, **kwargs)
     backend = evaluator.backend
     restart = backend._restart_pool
 
@@ -125,4 +129,4 @@ def test_a_second_break_raises_instead_of_looping(name, monkeypatch, recording):
             _pmw(instance, workload, evaluator)
     finally:
         evaluator.close()
-    assert _restarts(name) == 1
+    assert _restarts() == 1

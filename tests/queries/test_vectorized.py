@@ -180,21 +180,6 @@ class TestWorkloadCache:
 
 
 class TestShardKernels:
-    def test_shard_matvec_kernels_match_row_spans(self):
-        workload = _mixed_workload()
-        evaluator = WorkloadEvaluator(workload, mode="sparse")
-        packed = evaluator.backend.packed_workload()
-        row_bounds = np.array([0, 2, packed.num_queries], dtype=np.int64)
-        spans, matrices = vectorized.shard_matvec_kernels(
-            row_bounds, packed, evaluator.domain_size
-        )
-        assert spans == [(0, 2), (2, packed.num_queries)]
-        rng = np.random.default_rng(10)
-        flat = rng.random(evaluator.domain_size)
-        full = evaluator.answers_on_histogram(flat)
-        for (row_lo, row_hi), matrix in zip(spans, matrices):
-            assert np.array_equal(matrix @ flat, full[row_lo:row_hi])
-
     def test_slice_matrices_partition_the_columns(self):
         workload = _mixed_workload()
         evaluator = WorkloadEvaluator(workload, mode="sparse")

@@ -44,10 +44,10 @@ def test_timer_observes_wall_time():
 
 def test_flat_key_rendering():
     registry = MetricsRegistry()
-    registry.counter("evaluator.backend_choice", backend="sharded").add()
+    registry.counter("evaluator.backend_choice", backend="domain").add()
     registry.counter("plain").add()
     flat = registry.flat()
-    assert flat["evaluator.backend_choice{backend=sharded}"] == 1.0
+    assert flat["evaluator.backend_choice{backend=domain}"] == 1.0
     assert flat["plain"] == 1.0
 
 

@@ -2,9 +2,9 @@
 
 Unit level: the flush/drain protocol over a real ``SimpleQueue`` preserves
 totals and labels every merged series with the worker pid.  Integration
-level: a 2-worker sharded evaluation records per-worker task counts and
-shard-evaluation timings, and after pool shutdown the parent's registry
-accounts for every dispatched shard task exactly once.
+level: a 2-worker domain evaluation records per-worker task counts and
+slice-evaluation timings, and after pool shutdown the parent's registry
+accounts for every dispatched slice task exactly once.
 """
 
 from __future__ import annotations
@@ -123,22 +123,22 @@ class TestFlushDrainProtocol:
         assert not telemetry.is_enabled()
 
 
-class TestShardedIntegration:
+class TestDomainIntegration:
     def test_two_worker_pool_merges_per_worker_stats(self):
         telemetry.configure()
         workload = _workload()
         rng = np.random.default_rng(9)
         histogram = rng.random(workload.join_query.shape)
-        evaluator = WorkloadEvaluator(workload, mode="sharded", workers=2)
+        evaluator = WorkloadEvaluator(workload, mode="domain", workers=2)
         try:
             for _ in range(2):
                 evaluator.answers_on_histogram(histogram)
-            num_shards = evaluator.backend._num_shards
+            num_shards = len(evaluator.backend.slice_plan())
             assert num_shards >= 2
         finally:
             evaluator.close()  # joins the pool and drains the flush queue
         flat = telemetry.registry().flat()
-        dispatches = flat["sharded.dispatches{backend=sharded}"]
+        dispatches = flat["pool.dispatches{backend=domain}"]
         assert dispatches == 2.0
         worker_tasks = {
             key: value
@@ -161,3 +161,27 @@ class TestShardedIntegration:
             if key.startswith("worker.eval_seconds{")
         ]
         assert sum(entry["count"] for entry in eval_seconds) == dispatches * num_shards
+
+    def test_chunked_slices_merge_worker_decode_counts(self):
+        """The chunked scan's decode counters reach the parent per worker."""
+        telemetry.configure()
+        workload = _workload()
+        histogram = np.ones(workload.join_query.shape)
+        evaluator = WorkloadEvaluator(
+            workload, mode="domain", workers=2, sparse_cell_budget=1, chunk_size=16
+        )
+        try:
+            evaluator.answers_on_histogram(histogram)
+            slices = evaluator.backend.slice_plan()
+        finally:
+            evaluator.close()
+        flat = telemetry.registry().flat()
+        decoded = {
+            key: value for key, value in flat.items() if key.startswith("chunks.decoded{")
+        }
+        assert decoded and all("worker=" in key for key in decoded)
+        # Chunk-aligned slices: every chunk is decoded exactly once overall.
+        chunks = sum(-(-(hi - lo) // 16) for lo, hi in slices)
+        assert chunks == -(-workload.join_query.joint_domain_size // 16)
+        assert sum(decoded.values()) == chunks
+        assert flat["pool.dispatches{backend=domain}"] == 1.0
